@@ -13,6 +13,7 @@ from .estimators import (
     bayes_noninf_reliability,
     bayes_reliability,
     estimate_all,
+    estimate_kernel,
     mle_reliability,
     mle_scale,
     posterior_params,
@@ -46,14 +47,12 @@ from .simulation import (
     run_grid,
 )
 from .specfun import (
-    DEFAULT_QUADRATURE,
     NonConvergenceError,
-    QuadratureSpec,
     chisq_cdf,
     chisq_quantile,
     f_cdf,
     f_quantile,
-    integrate_1d,
+    gauss_legendre,
     ln_gamma,
     normal_cdf,
     normal_quantile,
@@ -67,7 +66,6 @@ __all__ = [
     "CellFailure",
     "CensoredSample",
     "CoverageResult",
-    "DEFAULT_QUADRATURE",
     "EstimateSet",
     "ExponentialScales",
     "GammaPrior",
@@ -76,7 +74,6 @@ __all__ = [
     "NONINFORMATIVE",
     "NonConvergenceError",
     "PosteriorParams",
-    "QuadratureSpec",
     "RngStream",
     "SimCellConfig",
     "SimCellResult",
@@ -92,10 +89,11 @@ __all__ = [
     "draw_dataset",
     "draw_exponential_sample",
     "estimate_all",
+    "estimate_kernel",
     "exact_ci",
     "f_cdf",
     "f_quantile",
-    "integrate_1d",
+    "gauss_legendre",
     "ln_gamma",
     "mle_reliability",
     "mle_scale",

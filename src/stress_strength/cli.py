@@ -14,12 +14,13 @@ import csv
 import math
 import os
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .estimators import NONINFORMATIVE, GammaPrior, estimate_all
 from .intervals import METHODS, asymptotic_ci, exact_ci
-from .sampling import CensoredSample, ExponentialScales, StressStrengthData
+from .sampling import CensoredSample, ExponentialScales, RngStream, StressStrengthData
 from .simulation import (
     CellFailure,
     SimCellConfig,
@@ -157,10 +158,15 @@ def _seed_from_env(problems: list[str]) -> int:
     except ValueError:
         problems.append(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
         return 0
-    if value < 0:
-        problems.append(f"{SEED_ENV_VAR} must be nonnegative, got {value}")
+    return _checked_seed(value, SEED_ENV_VAR, problems)
+
+
+def _checked_seed(value: int, source: str, problems: list[str]) -> int:
+    try:
+        return RngStream(value).seed
+    except ValueError:
+        problems.append(f"{source} must lie in [0, 2**64), got {value}")
         return 0
-    return value
 
 
 def _prior_from_args(pair: list[float] | None, flag: str, problems: list[str]) -> GammaPrior:
@@ -198,10 +204,7 @@ def parse_manifest(argv: list[str]) -> RunManifest:
     def resolve_seed() -> int:
         if args.seed is None:
             return _seed_from_env(problems)
-        if args.seed < 0:
-            problems.append(f"--seed must be nonnegative, got {args.seed}")
-            return 0
-        return args.seed
+        return _checked_seed(args.seed, "--seed", problems)
 
     manifest: RunManifest
     if args.command == "estimate":
@@ -369,13 +372,42 @@ def _load_grid(path: str, manifest: RunManifest) -> list[SimCellConfig]:
     return configs
 
 
-def _open_output(path: str | None):
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+@contextmanager
+def _output(path: str | None):
+    """The results stream: stdout, or a temporary file beside ``path``.
+
+    The file is created before the caller starts any work, so an unwritable
+    destination fails at once, and it replaces ``path`` only when the block
+    completes, so a failed or interrupted run leaves no partial table.
+    """
     if path is None:
-        return nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
     try:
-        return open(path, "w", newline="")
+        fd, temp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                    prefix=f".{os.path.basename(path)}.", suffix=".tmp")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+    try:
+        os.fchmod(fd, 0o666 & ~_umask())  # the mode open() would have given
+        with os.fdopen(fd, "w", newline="") as handle:
+            yield handle
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _execute_estimate(manifest: RunManifest) -> int:
@@ -412,13 +444,13 @@ def _execute_ci(manifest: RunManifest) -> int:
 
 def _execute_simulate(manifest: RunManifest) -> int:
     configs = _load_grid(manifest.grid_path, manifest)
-    entries = run_grid(configs, workers=manifest.workers)
     failures = 0
 
     def fmt(value: float) -> str:
         return _format_float(value, manifest.full_precision)
 
-    with _open_output(manifest.out_path) as out:
+    with _output(manifest.out_path) as out:
+        entries = run_grid(configs, workers=manifest.workers)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
         for index, entry in enumerate(entries):
@@ -459,8 +491,8 @@ def _execute_coverage(manifest: RunManifest) -> int:
         seed=manifest.seed,
         level=manifest.level,
     )
-    result = run_coverage(config, manifest.method)
-    with _open_output(manifest.out_path) as out:
+    with _output(manifest.out_path) as out:
+        result = run_coverage(config, manifest.method)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(COVERAGE_COLUMNS)
         writer.writerow(

@@ -42,6 +42,13 @@ class IntervalEstimate:
             )
 
 
+def _check_delta_args(r_hat: float, r1: int, r2: int) -> None:
+    if not 0.0 < r_hat < 1.0:
+        raise ValueError(f"r_hat must lie strictly inside (0, 1), got {r_hat}")
+    if r1 < 1 or r2 < 1:
+        raise ValueError(f"observed counts must be >= 1, got r1={r1}, r2={r2}")
+
+
 def delta_variance(r_hat: float, r1: int, r2: int) -> float:
     """Delta-method variance of the reliability MLE.
 
@@ -49,19 +56,23 @@ def delta_variance(r_hat: float, r1: int, r2: int) -> float:
     (inverse Fisher information), and the gradient of R contracts them to
     ``R**2 * (1 - R)**2 * (1/r1 + 1/r2)``, evaluated here at ``r_hat``.
     """
-    if not 0.0 < r_hat < 1.0:
-        raise ValueError(f"r_hat must lie strictly inside (0, 1), got {r_hat}")
-    if r1 < 1 or r2 < 1:
-        raise ValueError(f"observed counts must be >= 1, got r1={r1}, r2={r2}")
+    _check_delta_args(r_hat, r1, r2)
     return r_hat * r_hat * (1.0 - r_hat) * (1.0 - r_hat) * (1.0 / r1 + 1.0 / r2)
 
 
 def asymptotic_ci(data: StressStrengthData, level: float = 0.95) -> IntervalEstimate:
-    """Normal-approximation interval around the MLE, clamped to [0, 1]."""
+    """Normal-approximation interval around the MLE, clamped to [0, 1].
+
+    The standard deviation R(1 - R) * sqrt(1/r1 + 1/r2) is computed as a
+    product rather than as the root of :func:`delta_variance`, whose square
+    underflows to 0 once r_hat falls below about 1e-154.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     r_hat = mle_reliability(data)
-    sigma = math.sqrt(delta_variance(r_hat, data.strength.observed, data.stress.observed))
+    r1, r2 = data.strength.observed, data.stress.observed
+    _check_delta_args(r_hat, r1, r2)
+    sigma = r_hat * (1.0 - r_hat) * math.sqrt(1.0 / r1 + 1.0 / r2)
     z = normal_quantile(0.5 * (1.0 + level))
     return IntervalEstimate(
         lower=max(0.0, r_hat - z * sigma),

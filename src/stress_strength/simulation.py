@@ -4,20 +4,23 @@ Each simulation cell fixes the true scales, the sample sizes, and the
 censoring counts, then replays ``replicates`` independent datasets.
 Replicate ``i`` of a cell seeded with ``seed`` always draws from the stream
 ``(seed, i)``, so cells are reproducible in isolation, in any order, and
-across worker processes.
+across worker processes.  A cell draws all its datasets first and then
+evaluates the estimators once, as array kernels over the cell's totals on
+test.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .estimators import (
     NONINFORMATIVE,
     EstimateSet,
     GammaPrior,
-    estimate_all,
+    estimate_kernel,
     true_reliability,
 )
 from .intervals import METHODS, asymptotic_ci, exact_ci
@@ -63,8 +66,7 @@ class SimCellConfig:
             raise ValueError(f"r2 must lie in [1, m={self.m}], got {self.r2}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        RngStream(self.seed)  # raises unless seed is an unsigned 64-bit integer
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
 
@@ -93,35 +95,48 @@ class CellFailure:
     message: str
 
 
-class _RunningMoments:
-    """Single-pass mean and variance (Welford), stable for long runs of
-    near-identical squared errors."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    def variance(self, ddof: int = 0) -> float:
-        if self.count <= ddof:
-            return 0.0
-        return self._m2 / (self.count - ddof)
+def _cell_totals(config: SimCellConfig) -> tuple[np.ndarray, np.ndarray]:
+    z = np.empty(config.replicates)
+    v = np.empty(config.replicates)
+    for i in range(config.replicates):
+        try:
+            data = draw_dataset(
+                config.params, config.n, config.m, config.r1, config.r2,
+                RngStream(config.seed, i),
+            )
+        except Exception as exc:
+            raise SimulationError(f"replicate {i} failed: {exc}") from exc
+        z[i] = data.strength.ttt
+        v[i] = data.stress.ttt
+    return z, v
 
 
-def _replicate_estimates(config: SimCellConfig, index: int) -> EstimateSet:
-    data = draw_dataset(
-        config.params, config.n, config.m, config.r1, config.r2,
-        RngStream(config.seed, index),
-    )
-    return estimate_all(data, config.prior_strength, config.prior_stress)
+def _cell_estimates(config: SimCellConfig, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def estimate(part: slice) -> np.ndarray:
+        return estimate_kernel(config.r1, z[part], config.r2, v[part],
+                               config.prior_strength, config.prior_stress)
+
+    try:
+        estimates = estimate(slice(None))
+    except Exception as batch_error:
+        # Name the first replicate that fails on its own.
+        for i in range(config.replicates):
+            try:
+                estimate(slice(i, i + 1))
+            except Exception as exc:
+                raise SimulationError(f"replicate {i} failed: {exc}") from exc
+        raise SimulationError(f"cell failed: {batch_error}") from batch_error
+    # EstimateSet's range checks, applied to every replicate at once.
+    inside = (estimates > 0.0) & (estimates < 1.0)
+    inside[:, 1] = (estimates[:, 1] >= 0.0) & (estimates[:, 1] <= 1.0)
+    bad = np.flatnonzero(~inside.all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        try:
+            EstimateSet(*estimates[i].tolist())
+        except ValueError as exc:
+            raise SimulationError(f"replicate {i} failed: {exc}") from exc
+    return estimates
 
 
 def run_cell(config: SimCellConfig) -> SimCellResult:
@@ -131,32 +146,20 @@ def run_cell(config: SimCellConfig) -> SimCellResult:
     standard deviation of the squared errors divided by sqrt(replicates).
     """
     true_r = true_reliability(config.params)
-    estimate_moments = [_RunningMoments() for _ in range(4)]
-    squared_error_moments = [_RunningMoments() for _ in range(4)]
-    for i in range(config.replicates):
-        try:
-            estimates = _replicate_estimates(config, i)
-        except Exception as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
-        values = (
-            estimates.r1_mle,
-            estimates.r2_umvue,
-            estimates.r3_bayes_conjugate,
-            estimates.r4_bayes_noninf,
-        )
-        for k, value in enumerate(values):
-            estimate_moments[k].add(value)
-            squared_error_moments[k].add((value - true_r) ** 2)
-    means = [acc.mean for acc in estimate_moments]
+    estimates = _cell_estimates(config, *_cell_totals(config))
+    squared_errors = (estimates - true_r) ** 2
+    means = estimates.mean(axis=0).tolist()
+    if config.replicates > 1:
+        stderr = np.sqrt(squared_errors.var(axis=0, ddof=1) / config.replicates).tolist()
+    else:
+        stderr = [0.0] * 4
     return SimCellResult(
         config=config,
         true_r=true_r,
         mean_estimates=EstimateSet(*means),
-        mse=tuple(acc.mean for acc in squared_error_moments),
+        mse=tuple(squared_errors.mean(axis=0).tolist()),
         bias=tuple(mean - true_r for mean in means),
-        mc_stderr=tuple(
-            math.sqrt(acc.variance(ddof=1) / acc.count) for acc in squared_error_moments
-        ),
+        mc_stderr=tuple(stderr),
     )
 
 

@@ -1,16 +1,14 @@
-"""Special functions and adaptive quadrature used by the estimators.
+"""Special functions and quadrature rules used by the estimators.
 
 Everything here is self-contained and deterministic: quantiles are obtained
 by bracketed bisection on CDFs built from the regularized incomplete beta
-and gamma functions, and the integrator is an adaptive Gauss-Kronrod rule
-whose nodes never touch the endpoints of the interval.
+and gamma functions, and Gauss-Legendre rules are built by Newton's method
+on the Legendre three-term recurrence.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -18,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "NonConvergenceError",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "ln_gamma",
     "reg_incomplete_beta",
     "reg_lower_gamma",
@@ -29,7 +25,7 @@ __all__ = [
     "f_quantile",
     "chisq_cdf",
     "chisq_quantile",
-    "integrate_1d",
+    "gauss_legendre",
 ]
 
 _CF_MAX_ITER = 500
@@ -38,31 +34,6 @@ _CF_TINY = 1e-300
 
 class NonConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy controls for :func:`integrate_1d`.
-
-    Parameters
-    ----------
-    abs_tolerance : float
-        Target bound on the estimated absolute error of the integral.
-    max_subdivisions : int
-        Interval splits allowed before giving up.
-    """
-
-    abs_tolerance: float = 1e-10
-    max_subdivisions: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tolerance) and self.abs_tolerance > 0.0):
-            raise ValueError(f"abs_tolerance must be positive, got {self.abs_tolerance}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def ln_gamma(x: float) -> float:
@@ -265,137 +236,43 @@ def _expand_bracket(
     return lo, hi
 
 
-# 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1].
-# Nodes are strictly interior, so integrands are never evaluated at the
-# endpoints.  Gauss points sit at the odd indices of the Kronrod array.
-_GK_NODES = np.array(
-    [
-        -0.991455371120812639206854697526329,
-        -0.949107912342758524526189684047851,
-        -0.864864423359769072789712788640926,
-        -0.741531185599394439863864773280788,
-        -0.586087235467691130294144838258730,
-        -0.405845151377397166906606412076961,
-        -0.207784955007898467600689403773245,
-        0.0,
-        0.207784955007898467600689403773245,
-        0.405845151377397166906606412076961,
-        0.586087235467691130294144838258730,
-        0.741531185599394439863864773280788,
-        0.864864423359769072789712788640926,
-        0.949107912342758524526189684047851,
-        0.991455371120812639206854697526329,
-    ]
-)
-_GK_WEIGHTS = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-        0.204432940075298892414161999234649,
-        0.190350578064785409913256402421014,
-        0.169004726639267902826583426598550,
-        0.140653259715525918745189590510238,
-        0.104790010322250183839876322541518,
-        0.063092092629978553290700663189204,
-        0.022935322010529224963732008058970,
-    ]
-)
-_GAUSS_WEIGHTS = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-        0.381830050505118944950369775488975,
-        0.279705391489276667901467771423780,
-        0.129484966168869693270611432679082,
-    ]
-)
+def _legendre_with_derivative(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Bonnet's recurrence (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1} up to P_k,
+    # then P_k' = k (x P_k - P_{k-1}) / (x**2 - 1); O(len(x)) memory.
+    previous = np.ones_like(x)
+    current = x.copy()
+    for j in range(1, k):
+        previous, current = current, ((2 * j + 1) / (j + 1)) * x * current - (j / (j + 1)) * previous
+    return current, k * (x * current - previous) / ((x - 1.0) * (x + 1.0))
 
 
-def _gauss_kronrod_15(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
-) -> tuple[float, float]:
-    center = 0.5 * (a + b)
-    halfwidth = 0.5 * (b - a)
-    x = center + halfwidth * _GK_NODES
-    if not (a < x[0] and x[-1] < b):
-        # Rounding pushed an extreme abscissa onto an endpoint of a very
-        # narrow interval; nudge the nodes back inside to keep the rule open.
-        x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("integrand must map a 1-d array to an array of the same shape")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
-    kronrod = halfwidth * float(_GK_WEIGHTS @ y)
-    gauss = halfwidth * float(_GAUSS_WEIGHTS @ y[1::2])
-    # |K15 - G7| is a pessimistic proxy for the error of the K15 value.
-    return kronrod, abs(kronrod - gauss)
+def gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (increasing) and weights of the k-point Gauss-Legendre rule on
+    [-1, 1]; exact for polynomials of degree up to 2k - 1.
 
-
-def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Integrate a vectorized function over [lo, hi].
-
-    The integrand is called with a 1-d array of abscissae strictly inside
-    the interval and must return the matching array of values.  Subintervals
-    are bisected worst-first until the summed error estimate drops below
-    ``spec.abs_tolerance``.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the tolerance is still unmet after ``spec.max_subdivisions``
-        splits, or an interval becomes too narrow to bisect.
+    The nonnegative roots of P_k start from Tricomi's approximation and are
+    polished by Newton's method on the three-term recurrence, so building a
+    rule takes O(k) memory and O(k**2) arithmetic; the negative half is the
+    mirror image.
     """
-    if spec is None:
-        spec = DEFAULT_QUADRATURE
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration limits must be finite, got [{lo}, {hi}]")
-    if lo > hi:
-        raise ValueError(f"lower limit exceeds upper limit: [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
-
-    value, error = _gauss_kronrod_15(f, lo, hi)
-    # Heap of (-error, tiebreak, a, b, value, error); the tiebreak counter
-    # keeps ordering deterministic when error estimates coincide.
-    counter = 0
-    intervals = [(-error, counter, lo, hi, value, error)]
-    total_value = value
-    total_error = error
-    splits = 0
-    while total_error > spec.abs_tolerance:
-        if splits >= spec.max_subdivisions:
-            raise NonConvergenceError(
-                f"quadrature error {total_error:.3e} above tolerance "
-                f"{spec.abs_tolerance:.3e} after {splits} subdivisions"
-            )
-        _, _, a, b, val, err = heapq.heappop(intervals)
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            raise NonConvergenceError(
-                f"interval [{a}, {b}] cannot be bisected further; "
-                f"estimated error {total_error:.3e}"
-            )
-        left_val, left_err = _gauss_kronrod_15(f, a, mid)
-        right_val, right_err = _gauss_kronrod_15(f, mid, b)
-        total_value += left_val + right_val - val
-        total_error += left_err + right_err - err
-        counter += 1
-        heapq.heappush(intervals, (-left_err, counter, a, mid, left_val, left_err))
-        counter += 1
-        heapq.heappush(intervals, (-right_err, counter, mid, b, right_val, right_err))
-        splits += 1
-    return total_value
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    i = np.arange(1, (k + 1) // 2 + 1)
+    x = (1.0 - (k - 1.0) / (8.0 * k**3)) * np.cos(np.pi * (i - 0.25) / (k + 0.5))
+    for _ in range(100):
+        p, dp = _legendre_with_derivative(k, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    else:
+        raise NonConvergenceError(f"Gauss-Legendre nodes for k={k} did not converge")
+    if k % 2:
+        x[-1] = 0.0  # the middle root of an odd-degree P_k
+    _, dp = _legendre_with_derivative(k, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    # x runs from the largest root down; mirror it onto the negative half.
+    mirrored = slice(None, -1) if k % 2 else slice(None)
+    nodes = np.concatenate((-x[mirrored], x[::-1]))
+    weights = np.concatenate((w[mirrored], w[::-1]))
+    return nodes, weights

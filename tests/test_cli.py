@@ -26,7 +26,7 @@ from stress_strength.cli import (
     UsageError,
     parse_manifest,
 )
-from stress_strength.simulation import CellFailure
+from stress_strength.simulation import CellFailure, SimulationError
 
 
 def write_times(path, values):
@@ -128,6 +128,19 @@ class TestParseManifest:
         monkeypatch.setenv(SEED_ENV_VAR, "many")
         with pytest.raises(UsageError, match=SEED_ENV_VAR):
             parse_manifest(["simulate", "--grid", "g.csv"])
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--grid", "g.csv"],
+        ["coverage", "--alpha", "2", "--beta", "3", "--n", "10", "--m", "10",
+         "--r1", "8", "--r2", "8", "--method", "exact"],
+    ])
+    def test_seed_beyond_64_bits_is_a_usage_error(self, command, monkeypatch):
+        with pytest.raises(UsageError, match=r"--seed must lie in \[0, 2\*\*64\)"):
+            parse_manifest(command + ["--seed", str(2**64)])
+        assert parse_manifest(command + ["--seed", str(2**64 - 1)]).seed == 2**64 - 1
+        monkeypatch.setenv(SEED_ENV_VAR, str(2**64))
+        with pytest.raises(UsageError, match=SEED_ENV_VAR):
+            parse_manifest(command)
 
     def test_negative_prior_is_a_usage_error(self):
         with pytest.raises(UsageError, match="--prior-strength"):
@@ -350,6 +363,56 @@ class TestSimulateCommand:
         assert rows[1][:4] == ["6", "6", "5", "5"]
 
 
+    def test_seed_beyond_64_bits_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        grid = write_grid(tmp_path / "g.csv", [(6, 6, 4, 4, 2.0, 3.0, 10)])
+        monkeypatch.setattr(cli, "run_grid", self.must_not_run)
+        rc = cli.main(["simulate", "--grid", grid, "--seed", str(2**64)])
+        assert rc == 2
+        assert "usage error: --seed" in capsys.readouterr().err
+
+    @staticmethod
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    def test_unwritable_out_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        grid = write_grid(tmp_path / "g.csv", [(6, 6, 4, 4, 2.0, 3.0, 10)])
+        monkeypatch.setattr(cli, "run_grid", self.must_not_run)
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        rc = cli.main(["simulate", "--grid", grid, "--out", str(out)])
+        assert rc == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        rc = cli.main(["simulate", "--grid", grid, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_failed_run_leaves_earlier_table_untouched(self, tmp_path, monkeypatch):
+        grid = write_grid(tmp_path / "g.csv", [(6, 6, 4, 4, 2.0, 3.0, 10)])
+        out = tmp_path / "x.csv"
+        out.write_text("earlier table\n")
+        argv = ["simulate", "--grid", grid, "--out", str(out)]
+        faults = [SimulationError("synthetic"), KeyboardInterrupt()]
+
+        def crash(configs, workers=1):
+            raise faults.pop(0)
+
+        monkeypatch.setattr(cli, "run_grid", crash)
+        assert cli.main(argv) == 1
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+        assert out.read_text() == "earlier table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "x.csv"]
+
+    def test_out_file_gets_the_usual_permissions(self, tmp_path):
+        grid = write_grid(tmp_path / "g.csv", [(6, 6, 4, 4, 2.0, 3.0, 5)])
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--grid", grid, "--out", str(out)]) == 0
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        assert out.stat().st_mode == reference.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "reference", "x.csv"]
+
+
 class TestCoverageCommand:
     def test_matches_library_run(self, capsys):
         rc = cli.main(["coverage", "--alpha", "2", "--beta", "3",
@@ -366,6 +429,17 @@ class TestCoverageCommand:
         assert float(rows[1][1]) == 0.95
         assert float(rows[1][2]) == expected.coverage
         assert float(rows[1][3]) == expected.mean_width
+
+    def test_unwritable_out_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("the coverage study ran")
+
+        monkeypatch.setattr(cli, "run_coverage", must_not_run)
+        out = tmp_path / "missing" / "cov.csv"
+        rc = cli.main(["coverage", "--alpha", "1", "--beta", "1", "--n", "5", "--m", "5",
+                       "--r1", "4", "--r2", "4", "--method", "exact", "--out", str(out)])
+        assert rc == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_writes_to_file(self, tmp_path):
         out = tmp_path / "cov.csv"

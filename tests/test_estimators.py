@@ -7,13 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import data_with_totals, posterior_mean_mc_oracle, umvue_region_oracle
+from helpers import (
+    data_with_totals,
+    posterior_mean_adaptive_reference,
+    posterior_mean_mc_oracle,
+    posterior_mean_mp_oracle,
+    posterior_mean_quad_oracle,
+    umvue_adaptive_reference,
+    umvue_mp_oracle,
+    umvue_region_oracle,
+)
 from stress_strength import (
     NONINFORMATIVE,
     CensoredSample,
     EstimateSet,
     ExponentialScales,
     GammaPrior,
+    NonConvergenceError,
     PosteriorParams,
     RngStream,
     StressStrengthData,
@@ -23,13 +33,22 @@ from stress_strength import (
     draw_dataset,
     draw_exponential_sample,
     estimate_all,
+    estimate_kernel,
     mle_reliability,
     mle_scale,
     posterior_params,
     true_reliability,
     umvue_reliability,
 )
-from stress_strength.estimators import _posterior_mean_reliability
+from stress_strength.estimators import _posterior_mean_reliability, _posterior_means, _umvue
+
+
+def umvue_batch(r1, z, r2, v):
+    return _umvue(r1, np.asarray(z, dtype=float), r2, np.asarray(v, dtype=float))
+
+
+def posterior_mean(a1, zeta, a2, tau):
+    return _posterior_mean_reliability(PosteriorParams(a1, zeta), PosteriorParams(a2, tau))
 
 
 class TestTrueReliability:
@@ -163,20 +182,20 @@ class TestPosteriorParams:
 class TestBayesReliability:
     def test_matched_posteriors_give_half(self):
         value = _posterior_mean_reliability(
-            PosteriorParams(6.0, 4.0), PosteriorParams(6.0, 4.0), None
+            PosteriorParams(6.0, 4.0), PosteriorParams(6.0, 4.0)
         )
         assert value == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_monte_carlo_posterior_oracle(self):
         value = _posterior_mean_reliability(
-            PosteriorParams(4.0, 8.0), PosteriorParams(3.0, 6.0), None
+            PosteriorParams(4.0, 8.0), PosteriorParams(3.0, 6.0)
         )
         mc, se = posterior_mean_mc_oracle(4.0, 8.0, 3.0, 6.0, draws=10**6, seed=11)
         assert abs(value - mc) <= 4.0 * se
 
     def test_huge_stress_total_drives_estimate_to_zero(self):
         value = _posterior_mean_reliability(
-            PosteriorParams(5.0, 3.0), PosteriorParams(5.0, 3e6), None
+            PosteriorParams(5.0, 3.0), PosteriorParams(5.0, 3e6)
         )
         assert 0.0 < value < 0.01
 
@@ -242,3 +261,146 @@ class TestEstimateAll:
             EstimateSet(0.5, 1.2, 0.5, 0.5)
         with pytest.raises(ValueError):
             EstimateSet(0.5, 0.5, 1.0, 0.5)
+
+
+class TestUmvueKernel:
+    @pytest.mark.parametrize("r1,r2,ratio", [
+        (2, 2, 0.3), (2, 9, 1.7), (40, 3, 0.9), (60, 60, 1.02),
+        (200, 200, 1.0), (200, 1000, 0.21), (1000, 200, 4.9), (1000, 1000, 0.97),
+        (999, 1000, 1.04),
+    ])
+    def test_matches_high_precision_oracle(self, r1, r2, ratio):
+        data = data_with_totals(r1, r2, 5.0, 5.0 * ratio)
+        z, v = data.strength.ttt, data.stress.ttt
+        oracle = umvue_mp_oracle(r1, r2, z, v)
+        assert abs(umvue_batch(r1, [z], r2, [v])[0] - oracle) <= 1e-12
+
+    def test_matches_adaptive_route_on_criterion_3_configurations(self):
+        rng = np.random.default_rng(30)
+        for r1 in (2, 3, 5, 8):
+            for r2 in (2, 3, 5, 8):
+                z, v = rng.uniform(0.5, 12.0, size=(2, 5))
+                reference = [umvue_adaptive_reference(r1, r2, zi, vi) for zi, vi in zip(z, v)]
+                assert np.max(np.abs(umvue_batch(r1, z, r2, v) - reference)) <= 1e-10
+
+    def test_batch_rows_equal_single_evaluations(self):
+        rng = np.random.default_rng(8)
+        for r1, r2 in ((1, 1), (1, 4), (6, 1), (3, 7), (300, 500)):
+            z, v = rng.exponential(1.0, size=(2, 37))
+            batch = umvue_batch(r1, z, r2, v)
+            single = [umvue_batch(r1, [zi], r2, [vi])[0] for zi, vi in zip(z, v)]
+            assert batch.tolist() == single
+
+
+
+class TestPosteriorMeanKernel:
+    @pytest.mark.parametrize("a1", [1.0, 2.5, 40.0, 3000.0])
+    @pytest.mark.parametrize("a2", [1.0, 17.0, 3000.0])
+    @pytest.mark.parametrize("ratio", [1e-12, 0.3, 1e12])
+    def test_matches_high_precision_oracle(self, a1, a2, ratio):
+        value = posterior_mean(a1, 1.0, a2, ratio)
+        assert abs(value - posterior_mean_mp_oracle(a1, 1.0, a2, ratio)) <= 1e-12
+
+    # Posteriors whose peak the adaptive route's first panels missed:
+    # (a1, zeta, a2, tau, value to five digits).
+    PEAK_MISSES = [
+        (1630.0, 1.0, 2020.0, 7480.0, 1.6575e-4),
+        (1870.0, 1.0, 1500.0, 6.12e6, 1.3114e-7),
+    ]
+
+    @pytest.mark.parametrize("case", PEAK_MISSES)
+    def test_narrow_peak_regression(self, case):
+        a1, zeta, a2, tau, rounded = case
+        oracle = posterior_mean_quad_oracle(a1, zeta, a2, tau)
+        assert oracle == pytest.approx(rounded, rel=1e-4)
+        value = posterior_mean(a1, zeta, a2, tau)
+        assert abs(value - oracle) <= 1e-12 * oracle
+        # The case still reproduces the miss it guards against.
+        assert posterior_mean_adaptive_reference(a1, zeta, a2, tau) < 1e-3 * oracle
+
+    def test_narrow_peak_through_estimate_all(self):
+        data = draw_dataset(ExponentialScales(1.0, 6000.0), 1630, 2020, 1630, 2020,
+                            RngStream(163, 0))
+        z, v = data.strength.ttt, data.stress.ttt
+        prior = GammaPrior(2.0, 3.0), GammaPrior(1.0, 4000.0)
+        estimates = estimate_all(data, *prior)
+        r4 = posterior_mean_quad_oracle(1630, z, 2020, v)
+        r3 = posterior_mean_quad_oracle(1632, 3.0 + z, 2021, 4000.0 + v)
+        assert 1e-4 < r4 < 3e-4
+        assert abs(estimates.r4_bayes_noninf - r4) <= 1e-12 * r4
+        assert abs(estimates.r3_bayes_conjugate - r3) <= 1e-12 * r3
+
+    def test_matches_adaptive_route_on_criterion_5_configurations(self):
+        priors = [
+            (NONINFORMATIVE, NONINFORMATIVE),
+            (GammaPrior(0.5, 0.5), GammaPrior(0.5, 1.0)),
+            (GammaPrior(2.0, 1.5), GammaPrior(1.0, 0.5)),
+            (GammaPrior(5.0, 4.0), GammaPrior(3.0, 2.0)),
+        ]
+        for d in range(3):
+            data = draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 8, 8, RngStream(500, d))
+            for prior_strength, prior_stress in priors:
+                post1 = posterior_params(prior_strength, data.strength)
+                post2 = posterior_params(prior_stress, data.stress)
+                reference = posterior_mean_adaptive_reference(
+                    post1.shape, post1.scale_total, post2.shape, post2.scale_total)
+                value = bayes_reliability(data, prior_strength, prior_stress)
+                assert abs(value - reference) <= 1e-10
+
+    def test_small_shapes_take_larger_rules(self):
+        # Shapes near 1 fail the first 128/256-node comparison; the values
+        # come from the doubled rules and are still accurate.
+        taus = np.array([1.0, 1e-5, 3.0])
+        values = _posterior_means(1.0, np.ones(3), 1.2, taus)
+        for got, tau in zip(values, taus):
+            assert abs(got - posterior_mean_mp_oracle(1.0, 1.0, 1.2, tau)) <= 1e-12
+
+    def test_shapes_too_small_for_the_largest_rule_raise(self):
+        with pytest.raises(NonConvergenceError, match="4096-node"):
+            posterior_mean(1e-4, 1.0, 2e-4, 3.0)
+
+
+class TestEstimateKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r1=st.integers(1, 60),
+        r2=st.integers(1, 60),
+        log_ratio=st.floats(-3.0, 3.0),
+        u1=st.floats(0.5, 5.0),
+        u2=st.floats(0.5, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_adaptive_route(self, r1, r2, log_ratio, u1, u2, seed):
+        # The datasets workload's range: scale ratios 1e+-3 and r up to 60.
+        alpha, beta = 10.0 ** (0.5 * log_ratio), 10.0 ** (-0.5 * log_ratio)
+        data = draw_dataset(ExponentialScales(alpha, beta), 2 * r1, 2 * r2, r1, r2,
+                            RngStream(seed, 0))
+        z, v = data.strength.ttt, data.stress.ttt
+        prior = GammaPrior(u1, u1 * alpha), GammaPrior(u2, u2 * beta)
+        got = estimate_kernel(r1, [z], r2, [v], *prior)[0]
+        if r1 > 1 and r2 > 1:
+            assert abs(got[1] - umvue_adaptive_reference(r1, r2, z, v)) <= 1e-10
+        r3 = posterior_mean_adaptive_reference(u1 + r1, u1 * alpha + z, u2 + r2, u2 * beta + v)
+        assert abs(got[2] - r3) <= 1e-10
+        assert abs(got[3] - posterior_mean_adaptive_reference(r1, z, r2, v)) <= 1e-10
+
+    def test_rows_equal_estimate_all(self):
+        params = ExponentialScales(2.0, 3.0)
+        prior = GammaPrior(2.0, 4.0), GammaPrior(2.0, 5.0)
+        datasets = [draw_dataset(params, 10, 8, 7, 5, RngStream(44, i)) for i in range(300)]
+        z = [data.strength.ttt for data in datasets]
+        v = [data.stress.ttt for data in datasets]
+        for priors in ((NONINFORMATIVE, NONINFORMATIVE), prior):
+            batch = estimate_kernel(7, z, 5, v, *priors)
+            for row, data in zip(batch, datasets):
+                assert EstimateSet(*row.tolist()) == estimate_all(data, *priors)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            estimate_kernel(0, [1.0], 2, [1.0])
+        with pytest.raises(ValueError):
+            estimate_kernel(2, [1.0, 2.0], 2, [1.0])
+        with pytest.raises(ValueError):
+            estimate_kernel(2, [0.0], 2, [1.0])
+        with pytest.raises(ValueError):
+            estimate_kernel(2, [1.0], 2, [math.inf])

@@ -78,6 +78,17 @@ class TestAsymptoticCi:
         data = data_with_totals(3, 3, 2.0, 2.0)
         with pytest.raises(ValueError):
             asymptotic_ci(data, level=1.0)
+
+    def test_positive_width_where_the_variance_underflows(self):
+        # r_hat = 1e-168: its delta variance, about 2e-336, underflows to 0.
+        data = data_with_totals(1, 1, 1e-168, 1.0)
+        r_hat = mle_reliability(data)
+        assert delta_variance(r_hat, 1, 1) == 0.0
+        interval = asymptotic_ci(data, level=0.95)
+        half_width = normal_quantile(0.975) * r_hat * (1.0 - r_hat) * math.sqrt(2.0)
+        assert interval.lower == 0.0
+        assert interval.upper == pytest.approx(r_hat + half_width, rel=1e-12)
+        assert interval.upper > r_hat
         with pytest.raises(ValueError):
             asymptotic_ci(data, level=0.0)
 

@@ -7,6 +7,7 @@ import stress_strength.simulation as simulation
 from stress_strength import (
     CellFailure,
     ExponentialScales,
+    GammaPrior,
     RngStream,
     SimCellConfig,
     SimulationError,
@@ -18,7 +19,6 @@ from stress_strength import (
     run_grid,
     true_reliability,
 )
-from stress_strength.simulation import _replicate_estimates
 
 
 def small_config(**overrides):
@@ -28,6 +28,35 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return SimCellConfig(**defaults)
+
+
+def replicate_data(config, index):
+    return draw_dataset(config.params, config.n, config.m, config.r1, config.r2,
+                        RngStream(config.seed, index))
+
+
+def replicate_rows(config):
+    """Each replicate's four estimates, one dataset at a time."""
+    return np.array([
+        [est.r1_mle, est.r2_umvue, est.r3_bayes_conjugate, est.r4_bayes_noninf]
+        for est in (
+            estimate_all(replicate_data(config, i), config.prior_strength, config.prior_stress)
+            for i in range(config.replicates)
+        )
+    ])
+
+
+def poison_kernel(monkeypatch, z_values, fault):
+    """Make the cell kernel raise ``fault`` whenever its batch holds one of
+    the strength totals in ``z_values``."""
+    real = simulation.estimate_kernel
+
+    def flaky(r1, z, r2, v, *priors):
+        if np.isin(z, z_values).any():
+            raise fault
+        return real(r1, z, r2, v, *priors)
+
+    monkeypatch.setattr(simulation, "estimate_kernel", flaky)
 
 
 class TestSimCellConfig:
@@ -50,6 +79,11 @@ class TestSimCellConfig:
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, seed=-1)
         with pytest.raises(ValueError):
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, level=1.0)
+
+    def test_rejects_seeds_beyond_64_bits(self):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, seed=2**64)
+        assert SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestRunCell:
@@ -74,10 +108,7 @@ class TestRunCell:
     def test_streaming_moments_match_batch_recomputation(self):
         config = small_config(replicates=150)
         result = run_cell(config)
-        rows = np.array([
-            [est.r1_mle, est.r2_umvue, est.r3_bayes_conjugate, est.r4_bayes_noninf]
-            for est in (_replicate_estimates(config, i) for i in range(config.replicates))
-        ])
+        rows = replicate_rows(config)
         errors = (rows - result.true_r) ** 2
         for k in range(4):
             assert result.mse[k] == pytest.approx(errors[:, k].mean(), rel=1e-12)
@@ -91,10 +122,7 @@ class TestRunCell:
     def test_mse_equals_bias_squared_plus_variance(self):
         config = small_config(replicates=120, seed=5)
         result = run_cell(config)
-        rows = np.array([
-            [est.r1_mle, est.r2_umvue, est.r3_bayes_conjugate, est.r4_bayes_noninf]
-            for est in (_replicate_estimates(config, i) for i in range(config.replicates))
-        ])
+        rows = replicate_rows(config)
         for k in range(4):
             identity = result.bias[k] ** 2 + rows[:, k].var(ddof=0)
             assert result.mse[k] == pytest.approx(identity, rel=1e-9)
@@ -103,18 +131,40 @@ class TestRunCell:
         result = run_cell(small_config(replicates=30))
         assert all(se > 0.0 for se in result.mc_stderr)
 
+    def test_batched_estimates_equal_per_replicate_estimates(self, monkeypatch):
+        config = small_config(replicates=90, prior_strength=GammaPrior(2.0, 4.0),
+                              prior_stress=GammaPrior(2.0, 5.0))
+        batches = []
+        real = simulation.estimate_kernel
+
+        def spy(*args):
+            batches.append(real(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(simulation, "estimate_kernel", spy)
+        run_cell(config)
+        assert len(batches) == 1
+        assert np.array_equal(batches[0], replicate_rows(config))
+
     def test_failing_replicate_is_named(self, monkeypatch):
-        calls = {"count": 0}
-        real = estimate_all
-
-        def flaky(data, prior_strength=None, prior_stress=None):
-            calls["count"] += 1
-            if calls["count"] == 3:
-                raise ValueError("boom")
-            return real(data)
-
-        monkeypatch.setattr(simulation, "estimate_all", flaky)
+        config = small_config(replicates=10)
+        poison_kernel(monkeypatch, [replicate_data(config, 2).strength.ttt], ValueError("boom"))
         with pytest.raises(SimulationError, match=r"replicate 2 failed: boom"):
+            run_cell(config)
+
+    def test_first_estimate_out_of_range_is_named(self, monkeypatch):
+        real = simulation.estimate_kernel
+
+        def out_of_range(*args):
+            rows = real(*args)
+            rows[[4, 7], 2] = 1.0
+            return rows
+
+        monkeypatch.setattr(simulation, "estimate_kernel", out_of_range)
+        with pytest.raises(
+            SimulationError,
+            match=r"replicate 4 failed: r3_bayes_conjugate must lie strictly inside \(0, 1\), got 1.0",
+        ):
             run_cell(small_config(replicates=10))
 
 
@@ -160,15 +210,11 @@ class TestRunGrid:
         assert run_grid(configs, workers=1) == run_grid(configs, workers=2)
 
     def test_failed_cell_does_not_abort_the_grid(self, monkeypatch):
-        real = _replicate_estimates
-
-        def flaky(config, index):
-            if config.n == 7:
-                raise ValueError("bad cell")
-            return real(config, index)
-
-        monkeypatch.setattr(simulation, "_replicate_estimates", flaky)
         configs = [small_config(replicates=5, n=size, m=size) for size in (8, 7, 6)]
+        bad = configs[1]
+        poison_kernel(monkeypatch,
+                      [replicate_data(bad, i).strength.ttt for i in range(bad.replicates)],
+                      ValueError("bad cell"))
         results = run_grid(configs, workers=1)
         assert not isinstance(results[0], CellFailure)
         assert isinstance(results[1], CellFailure)

@@ -1,4 +1,8 @@
-"""Special functions: reference values, identities, and quadrature behavior."""
+"""Special functions: reference values, identities, and quadrature rules.
+
+``TestIntegrate1d`` covers the adaptive integrator that now lives in the
+test helpers, where it recomputes the estimators' earlier results.
+"""
 
 import math
 
@@ -9,16 +13,16 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from helpers import integrate_1d
 from stress_strength import (
-    DEFAULT_QUADRATURE,
     NonConvergenceError,
-    QuadratureSpec,
     chisq_cdf,
     chisq_quantile,
     f_cdf,
     f_quantile,
-    integrate_1d,
+    gauss_legendre,
     ln_gamma,
     normal_cdf,
     normal_quantile,
@@ -257,15 +261,14 @@ class TestIntegrate1d:
     def test_reported_tolerance_is_conservative(self, case):
         f, lo, hi, exact = case
         value = integrate_1d(f, lo, hi)
-        assert abs(value - exact) <= DEFAULT_QUADRATURE.abs_tolerance
+        assert abs(value - exact) <= 1e-10
 
     def test_zero_width_interval(self):
         assert integrate_1d(lambda x: np.exp(x), 1.3, 1.3) == 0.0
 
     def test_subdivision_budget_enforced(self):
-        spec = QuadratureSpec(abs_tolerance=1e-12, max_subdivisions=3)
         with pytest.raises(NonConvergenceError):
-            integrate_1d(lambda x: x**-0.5, 0.0, 1.0, spec)
+            integrate_1d(lambda x: x**-0.5, 0.0, 1.0, abs_tolerance=1e-12, max_subdivisions=3)
 
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
@@ -278,17 +281,29 @@ class TestIntegrate1d:
             integrate_1d(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        assert DEFAULT_QUADRATURE.abs_tolerance == 1e-10
-        assert DEFAULT_QUADRATURE.max_subdivisions == 10**6
+class TestGaussLegendre:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 33, 64, 100])
+    def test_matches_numpy_rule(self, k):
+        nodes, weights = gauss_legendre(k)
+        ref_nodes, ref_weights = leggauss(k)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+        # leggauss itself carries ~1e-12 relative error in its smallest weights.
+        assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-11
 
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tolerance": 0.0},
-        {"abs_tolerance": -1e-8},
-        {"abs_tolerance": math.nan},
-        {"max_subdivisions": 0},
-    ])
-    def test_rejects_bad_controls(self, kwargs):
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 256, 1024])
+    def test_exact_up_to_degree_2k_minus_1(self, k):
+        nodes, weights = gauss_legendre(k)
+        assert np.all(np.diff(nodes) > 0.0) and np.all(np.abs(nodes) < 1.0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        for degree in sorted({0, 1, k - 1, 2 * k - 2, 2 * k - 1}):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert abs(float(weights @ nodes**degree) - exact) <= 1e-13
+
+    def test_one_degree_too_many_is_not_exact(self):
+        nodes, weights = gauss_legendre(4)
+        assert abs(float(weights @ nodes**8) - 2.0 / 9.0) > 1e-3
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, "8"])
+    def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
+            gauss_legendre(bad)
