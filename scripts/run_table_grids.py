@@ -5,9 +5,13 @@ under four scale pairs, and the unequal-censoring layout (21 rows) under
 three.  Each table is written as a grid CSV next to its results CSV, so
 any single table can be rerun later with
 
-    stress-strength simulate --grid <outdir>/grid_<name>.csv --seed <seed>
+    stress-strength simulate --grid <outdir>/grid_<name>.csv --seed <seed> \
+        --prior-strength 2 4 --prior-stress 2 5
 
-Defaults reproduce the shipped study: 2999 replicates per cell, seed 42.
+Defaults reproduce the shipped study: 2999 replicates per cell, seed 42,
+and the conjugate priors (2, 4) on the strength scale and (2, 5) on the
+stress scale, which R3 uses.  With both priors non-informative (0 0), R3
+is the same posterior mean as R4, so its columns repeat R4's.
 """
 
 import argparse
@@ -56,6 +60,10 @@ def main(argv=None) -> int:
                         help="Monte Carlo replicates per cell")
     parser.add_argument("--seed", type=int, default=42, help="base seed for every cell")
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument("--prior-strength", nargs=2, type=float, metavar=("U", "V"),
+                        default=(2.0, 4.0), help="conjugate prior on the strength scale")
+    parser.add_argument("--prior-stress", nargs=2, type=float, metavar=("U", "V"),
+                        default=(2.0, 5.0), help="conjugate prior on the stress scale")
     args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -71,6 +79,8 @@ def main(argv=None) -> int:
             status = cli_main([
                 "simulate", "--grid", str(grid_path), "--seed", str(args.seed),
                 "--out", str(out_path), "--workers", str(args.workers),
+                "--prior-strength", *map(repr, args.prior_strength),
+                "--prior-stress", *map(repr, args.prior_stress),
             ])
             if status != 0:
                 failures += 1

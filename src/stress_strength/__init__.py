@@ -26,6 +26,7 @@ from .intervals import (
     asymptotic_ci,
     delta_variance,
     exact_ci,
+    interval_kernel,
 )
 from .sampling import (
     CensoredSample,
@@ -35,6 +36,7 @@ from .sampling import (
     apply_type2_censoring,
     draw_dataset,
     draw_exponential_sample,
+    draw_totals,
 )
 from .simulation import (
     CellFailure,
@@ -48,16 +50,12 @@ from .simulation import (
 )
 from .specfun import (
     NonConvergenceError,
-    chisq_cdf,
-    chisq_quantile,
     f_cdf,
     f_quantile,
     gauss_legendre,
-    ln_gamma,
     normal_cdf,
     normal_quantile,
     reg_incomplete_beta,
-    reg_lower_gamma,
 )
 
 __version__ = "0.1.0"
@@ -83,25 +81,23 @@ __all__ = [
     "asymptotic_ci",
     "bayes_noninf_reliability",
     "bayes_reliability",
-    "chisq_cdf",
-    "chisq_quantile",
     "delta_variance",
     "draw_dataset",
     "draw_exponential_sample",
+    "draw_totals",
     "estimate_all",
     "estimate_kernel",
     "exact_ci",
     "f_cdf",
     "f_quantile",
     "gauss_legendre",
-    "ln_gamma",
+    "interval_kernel",
     "mle_reliability",
     "mle_scale",
     "normal_cdf",
     "normal_quantile",
     "posterior_params",
     "reg_incomplete_beta",
-    "reg_lower_gamma",
     "run_cell",
     "run_coverage",
     "run_grid",

@@ -157,6 +157,12 @@ def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
     return z, v
 
 
+def _mle(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
+    alpha_hat = z / r1
+    beta_hat = v / r2
+    return alpha_hat / (alpha_hat + beta_hat)
+
+
 def _umvue(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
     if r1 == 1 and r2 == 1:
         # Both spacings equal their totals; the indicator itself remains.
@@ -282,9 +288,7 @@ def _estimates(
 ) -> np.ndarray:
     n = z.size
     out = np.empty((n, 4))
-    alpha_hat = z / r1
-    beta_hat = v / r2
-    out[:, 0] = alpha_hat / (alpha_hat + beta_hat)
+    out[:, 0] = _mle(r1, z, r2, v)
     out[:, 1] = _umvue(r1, z, r2, v)
     out[:, 3] = _posterior_means(float(r1), z, float(r2), v)
     if prior_strength == NONINFORMATIVE and prior_stress == NONINFORMATIVE:

@@ -2,6 +2,8 @@
 
 Two constructions: a delta-method interval around the MLE, and an exact
 interval from the scaled F pivot of the two total times on test.
+:func:`interval_kernel` computes either over many pairs of totals at once,
+and :func:`asymptotic_ci` and :func:`exact_ci` are its length-1 case.
 """
 
 from __future__ import annotations
@@ -9,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimators import mle_reliability
+import numpy as np
+
+from .estimators import _check_totals, _mle
 from .sampling import StressStrengthData
 from .specfun import f_quantile, normal_quantile
 
@@ -19,6 +23,7 @@ __all__ = [
     "delta_variance",
     "asymptotic_ci",
     "exact_ci",
+    "interval_kernel",
 ]
 
 METHODS = ("asymptotic", "exact")
@@ -60,47 +65,72 @@ def delta_variance(r_hat: float, r1: int, r2: int) -> float:
     return r_hat * r_hat * (1.0 - r_hat) * (1.0 - r_hat) * (1.0 / r1 + 1.0 / r2)
 
 
-def asymptotic_ci(data: StressStrengthData, level: float = 0.95) -> IntervalEstimate:
-    """Normal-approximation interval around the MLE, clamped to [0, 1].
-
-    The standard deviation R(1 - R) * sqrt(1/r1 + 1/r2) is computed as a
-    product rather than as the root of :func:`delta_variance`, whose square
-    underflows to 0 once r_hat falls below about 1e-154.
-    """
+def _check_method_and_level(method: str, level: float) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    r_hat = mle_reliability(data)
-    r1, r2 = data.strength.observed, data.stress.observed
-    _check_delta_args(r_hat, r1, r2)
+
+
+def interval_kernel(
+    method: str, r1: int, z, r2: int, v, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the ``method`` interval for each pair of totals on test
+    (z[i], v[i]), as two arrays (lower, upper).
+
+    ``"asymptotic"`` is the normal interval around the MLE, clamped to
+    [0, 1].  Its standard deviation R(1 - R) * sqrt(1/r1 + 1/r2) is computed
+    as a product rather than as the root of :func:`delta_variance`, whose
+    square underflows to 0 once the MLE falls below about 1e-154.
+
+    ``"exact"`` inverts the F pivot.  Twice each total time on test over
+    its scale is chi-square with twice the observed count as degrees of
+    freedom, so ``(r1*V*alpha)/(r2*Z*beta)`` is F(2*r2, 2*r1) exactly, and
+    the central probability statement gives bounds that hold at the nominal
+    level for every sample size.  Its two F quantiles depend only on
+    (r1, r2, level), so they are found once per call.
+    """
+    _check_method_and_level(method, level)
+    z, v = _check_totals(r1, z, r2, v)
+    return _intervals(method, r1, z, r2, v, level)
+
+
+def _intervals(
+    method: str, r1: int, z: np.ndarray, r2: int, v: np.ndarray, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    if method == "exact":
+        tail = 0.5 * (1.0 - level)
+        f_lower_tail = f_quantile(tail, 2.0 * r2, 2.0 * r1)
+        f_upper_tail = f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)
+        # The pivot overflows only where both bounds round to 0 anyway.
+        with np.errstate(over="ignore"):
+            w = (r1 * v) / (r2 * z)
+            return 1.0 / (1.0 + w / f_lower_tail), 1.0 / (1.0 + w / f_upper_tail)
+    r_hat = _mle(r1, z, r2, v)
+    inside = (r_hat > 0.0) & (r_hat < 1.0)
+    if not inside.all():
+        _check_delta_args(float(r_hat[np.argmin(inside)]), r1, r2)
     sigma = r_hat * (1.0 - r_hat) * math.sqrt(1.0 / r1 + 1.0 / r2)
-    z = normal_quantile(0.5 * (1.0 + level))
-    return IntervalEstimate(
-        lower=max(0.0, r_hat - z * sigma),
-        upper=min(1.0, r_hat + z * sigma),
-        level=level,
-        method="asymptotic",
-    )
+    half = normal_quantile(0.5 * (1.0 + level)) * sigma
+    return np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)
+
+
+def _interval_of(method: str, data: StressStrengthData, level: float) -> IntervalEstimate:
+    # The length-1 case of interval_kernel; a sample's total is already
+    # known to be positive and finite.
+    _check_method_and_level(method, level)
+    lower, upper = _intervals(method, data.strength.observed, np.array([data.strength.ttt]),
+                              data.stress.observed, np.array([data.stress.ttt]), level)
+    return IntervalEstimate(lower=float(lower[0]), upper=float(upper[0]), level=level,
+                            method=method)
+
+
+def asymptotic_ci(data: StressStrengthData, level: float = 0.95) -> IntervalEstimate:
+    """Normal-approximation interval around the MLE, clamped to [0, 1]; see
+    :func:`interval_kernel`."""
+    return _interval_of("asymptotic", data, level)
 
 
 def exact_ci(data: StressStrengthData, level: float = 0.95) -> IntervalEstimate:
-    """Exact interval from the F pivot.
-
-    Twice each total time on test over its scale is chi-square with twice
-    the observed count as degrees of freedom, so ``(r1*V*alpha)/(r2*Z*beta)``
-    is F(2*r2, 2*r1) exactly.  Inverting the central probability statement
-    gives bounds that hold at the nominal level for every sample size.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    r1 = data.strength.observed
-    r2 = data.stress.observed
-    w = (r1 * data.stress.ttt) / (r2 * data.strength.ttt)
-    tail = 0.5 * (1.0 - level)
-    f_lower_tail = f_quantile(tail, 2.0 * r2, 2.0 * r1)
-    f_upper_tail = f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)
-    return IntervalEstimate(
-        lower=1.0 / (1.0 + w / f_lower_tail),
-        upper=1.0 / (1.0 + w / f_upper_tail),
-        level=level,
-        method="exact",
-    )
+    """Exact interval from the F pivot; see :func:`interval_kernel`."""
+    return _interval_of("exact", data, level)

@@ -1,9 +1,18 @@
 """Seeded generation of type-II censored exponential samples.
 
 A :class:`RngStream` names a reproducible random stream by ``(seed,
-stream_id)``.  Derived sub-streams let independent replicates (and the two
-samples inside one replicate) consume disjoint randomness, so simulation
-cells can run in any order or in parallel without changing their output.
+stream_id)``.  Derived sub-streams let the strength and the stress sample
+consume disjoint randomness.
+
+Two generators are provided.  :func:`draw_dataset` builds one dataset from
+its order statistics.  :func:`draw_totals` draws only the totals on test,
+which is all the estimators and intervals use: the total on test of r
+observed failures out of n exponential units with scale s is exactly
+s * Gamma(r) (Epstein & Sobel, 1953), whatever n is.  A simulation cell
+seeded with ``seed`` draws its totals from the stream ``RngStream(seed)``:
+every strength total from sub-stream 0, every stress total from sub-stream
+1, and replicate i is element i of each, so a cell's first k replicates do
+not depend on how many it has.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ __all__ = [
     "draw_exponential_sample",
     "apply_type2_censoring",
     "draw_dataset",
+    "draw_totals",
 ]
 
 _UINT64_BOUND = 1 << 64
@@ -191,3 +201,27 @@ def draw_dataset(
         strength=apply_type2_censoring(strength_raw, r1),
         stress=apply_type2_censoring(stress_raw, r2),
     )
+
+
+def draw_totals(
+    params: ExponentialScales,
+    r1: int,
+    r2: int,
+    count: int,
+    rng: RngStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` independent pairs of totals on test (Z, V).
+
+    Z is the strength total of ``r1`` observed failures and V the stress
+    total of ``r2``.  The normalized spacings of an exponential sample are
+    independent exponentials with the sample's scale, so Z = alpha *
+    Gamma(r1) and V = beta * Gamma(r2) exactly, for every number of units
+    on test.  Z comes from sub-stream 0 of ``rng`` and V from sub-stream 1,
+    in order, so the first k pairs are the same for every ``count >= k``.
+    """
+    for name, value in (("r1", r1), ("r2", r2), ("count", count)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    z = params.alpha * rng.substream(0).generator().standard_gamma(r1, count)
+    v = params.beta * rng.substream(1).generator().standard_gamma(r2, count)
+    return z, v

@@ -1,18 +1,24 @@
 """Monte Carlo comparison of the estimators and interval procedures.
 
 Each simulation cell fixes the true scales, the sample sizes, and the
-censoring counts, then replays ``replicates`` independent datasets.
-Replicate ``i`` of a cell seeded with ``seed`` always draws from the stream
-``(seed, i)``, so cells are reproducible in isolation, in any order, and
-across worker processes.  A cell draws all its datasets first and then
-evaluates the estimators once, as array kernels over the cell's totals on
-test.
+censoring counts, then replays ``replicates`` independent datasets.  Every
+estimator and interval is a function of the totals on test (Z, V) alone,
+so a cell draws only those, with :func:`~stress_strength.sampling.draw_totals`
+on the cell stream ``RngStream(seed)``: strength totals from sub-stream 0,
+stress totals from sub-stream 1, replicate ``i`` being element ``i`` of
+each.  Cells are therefore reproducible in isolation, in any order, and
+across worker processes.  The total on test of r observed failures is
+scale * Gamma(r) whatever the number of units, so n and m do not change
+what a cell simulates: cells that differ only in n and m give identical
+results.  The estimators and intervals are then evaluated once per cell,
+as array kernels over the cell's totals.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -23,8 +29,8 @@ from .estimators import (
     estimate_kernel,
     true_reliability,
 )
-from .intervals import METHODS, asymptotic_ci, exact_ci
-from .sampling import ExponentialScales, RngStream, draw_dataset
+from .intervals import METHODS, IntervalEstimate, interval_kernel
+from .sampling import ExponentialScales, RngStream, draw_totals
 
 __all__ = [
     "SimulationError",
@@ -38,6 +44,7 @@ __all__ = [
 ]
 
 FourFloats = tuple[float, float, float, float]
+T = TypeVar("T")
 
 
 class SimulationError(RuntimeError):
@@ -96,47 +103,34 @@ class CellFailure:
 
 
 def _cell_totals(config: SimCellConfig) -> tuple[np.ndarray, np.ndarray]:
-    z = np.empty(config.replicates)
-    v = np.empty(config.replicates)
-    for i in range(config.replicates):
-        try:
-            data = draw_dataset(
-                config.params, config.n, config.m, config.r1, config.r2,
-                RngStream(config.seed, i),
-            )
-        except Exception as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
-        z[i] = data.strength.ttt
-        v[i] = data.stress.ttt
-    return z, v
+    return draw_totals(config.params, config.r1, config.r2, config.replicates,
+                       RngStream(config.seed))
 
 
-def _cell_estimates(config: SimCellConfig, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    def estimate(part: slice) -> np.ndarray:
-        return estimate_kernel(config.r1, z[part], config.r2, v[part],
-                               config.prior_strength, config.prior_stress)
-
+def _run_batch(replicates: int, kernel: Callable[[slice], T]) -> T:
+    """``kernel`` applied to every replicate of a cell at once."""
     try:
-        estimates = estimate(slice(None))
+        return kernel(slice(None))
     except Exception as batch_error:
         # Name the first replicate that fails on its own.
-        for i in range(config.replicates):
+        for i in range(replicates):
             try:
-                estimate(slice(i, i + 1))
+                kernel(slice(i, i + 1))
             except Exception as exc:
                 raise SimulationError(f"replicate {i} failed: {exc}") from exc
         raise SimulationError(f"cell failed: {batch_error}") from batch_error
-    # EstimateSet's range checks, applied to every replicate at once.
-    inside = (estimates > 0.0) & (estimates < 1.0)
-    inside[:, 1] = (estimates[:, 1] >= 0.0) & (estimates[:, 1] <= 1.0)
-    bad = np.flatnonzero(~inside.all(axis=1))
+
+
+def _name_first(outside: np.ndarray, check: Callable[[int], object]) -> None:
+    """Raise the error ``check(i)`` raises for the first replicate i marked
+    ``outside``, naming that replicate."""
+    bad = np.flatnonzero(outside)
     if bad.size:
         i = int(bad[0])
         try:
-            EstimateSet(*estimates[i].tolist())
+            check(i)
         except ValueError as exc:
             raise SimulationError(f"replicate {i} failed: {exc}") from exc
-    return estimates
 
 
 def run_cell(config: SimCellConfig) -> SimCellResult:
@@ -146,7 +140,13 @@ def run_cell(config: SimCellConfig) -> SimCellResult:
     standard deviation of the squared errors divided by sqrt(replicates).
     """
     true_r = true_reliability(config.params)
-    estimates = _cell_estimates(config, *_cell_totals(config))
+    z, v = _cell_totals(config)
+    estimates = _run_batch(config.replicates, lambda part: estimate_kernel(
+        config.r1, z[part], config.r2, v[part], config.prior_strength, config.prior_stress))
+    # EstimateSet's range checks, applied to every replicate at once.
+    inside = (estimates > 0.0) & (estimates < 1.0)
+    inside[:, 1] = (estimates[:, 1] >= 0.0) & (estimates[:, 1] <= 1.0)
+    _name_first(~inside.all(axis=1), lambda i: EstimateSet(*estimates[i].tolist()))
     squared_errors = (estimates - true_r) ** 2
     means = estimates.mean(axis=0).tolist()
     if config.replicates > 1:
@@ -167,27 +167,20 @@ def run_coverage(config: SimCellConfig, method: str) -> CoverageResult:
     """Empirical coverage and mean width of one interval method."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    interval_of = asymptotic_ci if method == "asymptotic" else exact_ci
     true_r = true_reliability(config.params)
-    hits = 0
-    width_total = 0.0
-    for i in range(config.replicates):
-        data = draw_dataset(
-            config.params, config.n, config.m, config.r1, config.r2,
-            RngStream(config.seed, i),
-        )
-        try:
-            interval = interval_of(data, config.level)
-        except Exception as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
-        if interval.lower <= true_r <= interval.upper:
-            hits += 1
-        width_total += interval.upper - interval.lower
+    z, v = _cell_totals(config)
+    lower, upper = _run_batch(config.replicates, lambda part: interval_kernel(
+        method, config.r1, z[part], config.r2, v[part], config.level))
+    # IntervalEstimate's bound checks, applied to every replicate at once.
+    _name_first(
+        ~((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)),
+        lambda i: IntervalEstimate(float(lower[i]), float(upper[i]), config.level, method),
+    )
     return CoverageResult(
         config=config,
         method=method,
-        coverage=hits / config.replicates,
-        mean_width=width_total / config.replicates,
+        coverage=int(np.count_nonzero((lower <= true_r) & (true_r <= upper))) / config.replicates,
+        mean_width=float((upper - lower).mean()),
     )
 
 

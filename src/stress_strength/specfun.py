@@ -2,8 +2,8 @@
 
 Everything here is self-contained and deterministic: quantiles are obtained
 by bracketed bisection on CDFs built from the regularized incomplete beta
-and gamma functions, and Gauss-Legendre rules are built by Newton's method
-on the Legendre three-term recurrence.
+function, and Gauss-Legendre rules are built by Newton's method on the
+Legendre three-term recurrence.
 """
 
 from __future__ import annotations
@@ -16,15 +16,11 @@ import numpy as np
 
 __all__ = [
     "NonConvergenceError",
-    "ln_gamma",
     "reg_incomplete_beta",
-    "reg_lower_gamma",
     "normal_cdf",
     "normal_quantile",
     "f_cdf",
     "f_quantile",
-    "chisq_cdf",
-    "chisq_quantile",
     "gauss_legendre",
 ]
 
@@ -34,13 +30,6 @@ _CF_TINY = 1e-300
 
 class NonConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -94,57 +83,14 @@ def reg_incomplete_beta(a: float, b: float, x: float) -> float:
     ln_front = (
         a * math.log(x)
         + b * math.log1p(-x)
-        + ln_gamma(a + b)
-        - ln_gamma(a)
-        - ln_gamma(b)
+        + math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
     )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"shape must be positive, got {a}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be finite and nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    ln_front = a * math.log(x) - x - ln_gamma(a)
-    if x < a + 1.0:
-        # Power series around 0.
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(_CF_MAX_ITER):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                return total * math.exp(ln_front)
-        raise NonConvergenceError(f"incomplete gamma series stalled at a={a}, x={x}")
-    # Continued fraction for the upper tail, again by modified Lentz.
-    b = x + 1.0 - a
-    c = 1.0 / _CF_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = b + an / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 - h * math.exp(ln_front)
-    raise NonConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
 
 
 def normal_cdf(z: float) -> float:
@@ -173,26 +119,6 @@ def normal_quantile(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     return _bisect_monotone(normal_cdf, p, -40.0, 40.0)
-
-
-def chisq_cdf(x: float, df: float) -> float:
-    """Chi-square CDF with df degrees of freedom."""
-    if not (math.isfinite(df) and df > 0.0):
-        raise ValueError(f"df must be positive, got {df}")
-    if x <= 0.0:
-        return 0.0
-    return reg_lower_gamma(0.5 * df, 0.5 * x)
-
-
-@lru_cache(maxsize=8192)
-def chisq_quantile(p: float, df: float) -> float:
-    """Chi-square quantile, found by bisection on :func:`chisq_cdf`."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not (math.isfinite(df) and df > 0.0):
-        raise ValueError(f"df must be positive, got {df}")
-    lo, hi = _expand_bracket(lambda q: chisq_cdf(q, df), p, start=df)
-    return _bisect_monotone(lambda q: chisq_cdf(q, df), p, lo, hi)
 
 
 def f_cdf(x: float, d1: float, d2: float) -> float:

@@ -15,6 +15,7 @@ from stress_strength import (
     draw_dataset,
     exact_ci,
     delta_variance,
+    interval_kernel,
     mle_reliability,
     true_reliability,
 )
@@ -153,6 +154,37 @@ class TestExactCi:
             interval = asymptotic_ci(data, level=0.95)
             hits += interval.lower <= target <= interval.upper
         assert 0.85 <= hits / reps <= 0.99
+
+
+class TestIntervalKernel:
+    @pytest.mark.parametrize("method,ci", [("exact", exact_ci), ("asymptotic", asymptotic_ci)])
+    @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
+    def test_scalar_intervals_are_kernel_rows(self, method, ci, level):
+        params = ExponentialScales(2.0, 3.0)
+        datasets = [draw_dataset(params, 9, 12, 7, 4, RngStream(77, i)) for i in range(200)]
+        datasets.append(data_with_totals(7, 4, 1e-160, 1.0))
+        datasets.append(data_with_totals(7, 4, 1e6, 1e-6))
+        lower, upper = interval_kernel(method, 7, [d.strength.ttt for d in datasets],
+                                       4, [d.stress.ttt for d in datasets], level)
+        for i, data in enumerate(datasets):
+            interval = ci(data, level)
+            assert (interval.lower, interval.upper) == (lower[i], upper[i])
+
+    def test_an_mle_that_rounds_to_zero(self):
+        with pytest.raises(ValueError, match="r_hat must lie strictly inside"):
+            interval_kernel("asymptotic", 1, [1.0, 5e-324], 1, [1.0, 1e10], 0.95)
+        lower, upper = interval_kernel("exact", 1, [1.0, 5e-324], 1, [1.0, 1e10], 0.95)
+        assert (lower[1], upper[1]) == (0.0, 0.0)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="method"):
+            interval_kernel("bootstrap", 3, [1.0], 3, [1.0], 0.95)
+        with pytest.raises(ValueError, match="level"):
+            interval_kernel("exact", 3, [1.0], 3, [1.0], 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            interval_kernel("exact", 3, [1.0, 0.0], 3, [1.0, 1.0], 0.95)
+        with pytest.raises(ValueError, match="stress totals"):
+            interval_kernel("asymptotic", 3, [1.0, 2.0], 3, [1.0], 0.95)
 
 
 class TestIntervalEstimate:

@@ -15,6 +15,7 @@ from stress_strength import (
     apply_type2_censoring,
     draw_dataset,
     draw_exponential_sample,
+    draw_totals,
 )
 
 
@@ -194,3 +195,39 @@ class TestDrawDataset:
             values[i] = 2.0 * data.strength.ttt / params.alpha
         result = scipy.stats.kstest(values, lambda t: scipy.stats.chi2.cdf(t, 2 * r1))
         assert result.pvalue > 0.01
+
+
+class TestDrawTotals:
+    @pytest.mark.parametrize("n,r", [(10, 8), (50, 4), (5, 5), (1000, 1)])
+    def test_matches_totals_of_order_statistics(self, n, r):
+        # Epstein & Sobel: the total on test of r failures out of n units is
+        # scale * Gamma(r), whatever n is.
+        params = ExponentialScales(2.0, 0.5)
+        draws = 2000
+        z_ordered = np.empty(draws)
+        v_ordered = np.empty(draws)
+        for i in range(draws):
+            data = draw_dataset(params, n, n, r, r, RngStream(610 + n, i))
+            z_ordered[i] = data.strength.ttt
+            v_ordered[i] = data.stress.ttt
+        z, v = draw_totals(params, r, r, draws, RngStream(620 + n))
+        assert scipy.stats.ks_2samp(z_ordered, z).pvalue > 1e-3
+        assert scipy.stats.ks_2samp(v_ordered, v).pvalue > 1e-3
+
+    @pytest.mark.parametrize("r1,r2", [(1, 7), (30, 2)])
+    def test_scaled_totals_are_gamma(self, r1, r2):
+        params = ExponentialScales(3.0, 0.25)
+        z, v = draw_totals(params, r1, r2, 10**5, RngStream(630 + r1))
+        assert scipy.stats.kstest(z / params.alpha, scipy.stats.gamma(r1).cdf).pvalue > 1e-3
+        assert scipy.stats.kstest(v / params.beta, scipy.stats.gamma(r2).cdf).pvalue > 1e-3
+
+    def test_strength_and_stress_use_disjoint_substreams(self):
+        z, v = draw_totals(ExponentialScales(1.0, 1.0), 4, 4, 50, RngStream(3))
+        assert not np.array_equal(z, v)
+        z_again, _ = draw_totals(ExponentialScales(1.0, 1.0), 4, 9, 50, RngStream(3))
+        np.testing.assert_array_equal(z, z_again)
+
+    @pytest.mark.parametrize("r1,r2,count", [(0, 3, 5), (3, -1, 5), (3, 3, 0), (2.0, 3, 5)])
+    def test_rejects_bad_counts(self, r1, r2, count):
+        with pytest.raises(ValueError):
+            draw_totals(ExponentialScales(1.0, 1.0), r1, r2, count, RngStream(0))

@@ -6,14 +6,15 @@ import pytest
 import stress_strength.simulation as simulation
 from stress_strength import (
     CellFailure,
+    EstimateSet,
     ExponentialScales,
     GammaPrior,
     RngStream,
     SimCellConfig,
     SimulationError,
-    draw_dataset,
-    estimate_all,
-    exact_ci,
+    draw_totals,
+    estimate_kernel,
+    interval_kernel,
     run_cell,
     run_coverage,
     run_grid,
@@ -30,19 +31,19 @@ def small_config(**overrides):
     return SimCellConfig(**defaults)
 
 
-def replicate_data(config, index):
-    return draw_dataset(config.params, config.n, config.m, config.r1, config.r2,
-                        RngStream(config.seed, index))
+def cell_totals(config):
+    """The cell's totals on test (Z, V), drawn as the simulation draws them."""
+    return draw_totals(config.params, config.r1, config.r2, config.replicates,
+                       RngStream(config.seed))
 
 
 def replicate_rows(config):
-    """Each replicate's four estimates, one dataset at a time."""
-    return np.array([
-        [est.r1_mle, est.r2_umvue, est.r3_bayes_conjugate, est.r4_bayes_noninf]
-        for est in (
-            estimate_all(replicate_data(config, i), config.prior_strength, config.prior_stress)
-            for i in range(config.replicates)
-        )
+    """Each replicate's four estimates, one pair of totals at a time."""
+    z, v = cell_totals(config)
+    return np.concatenate([
+        estimate_kernel(config.r1, z[i:i + 1], config.r2, v[i:i + 1],
+                        config.prior_strength, config.prior_stress)
+        for i in range(config.replicates)
     ])
 
 
@@ -90,9 +91,7 @@ class TestRunCell:
     def test_single_replicate_reproduces_one_estimate(self):
         config = small_config(replicates=1)
         result = run_cell(config)
-        data = draw_dataset(config.params, config.n, config.m,
-                            config.r1, config.r2, RngStream(config.seed, 0))
-        expected = estimate_all(data)
+        expected = EstimateSet(*replicate_rows(config)[0].tolist())
         assert result.mean_estimates == expected
         assert result.true_r == true_reliability(config.params)
         for k, value in enumerate((expected.r1_mle, expected.r2_umvue,
@@ -148,9 +147,31 @@ class TestRunCell:
 
     def test_failing_replicate_is_named(self, monkeypatch):
         config = small_config(replicates=10)
-        poison_kernel(monkeypatch, [replicate_data(config, 2).strength.ttt], ValueError("boom"))
+        poison_kernel(monkeypatch, [cell_totals(config)[0][2]], ValueError("boom"))
         with pytest.raises(SimulationError, match=r"replicate 2 failed: boom"):
             run_cell(config)
+
+    def test_totals_of_fewer_replicates_are_a_prefix(self, monkeypatch):
+        seen = []
+        real = simulation.estimate_kernel
+
+        def spy(r1, z, r2, v, *priors):
+            seen.append((z, v))
+            return real(r1, z, r2, v, *priors)
+
+        monkeypatch.setattr(simulation, "estimate_kernel", spy)
+        run_cell(small_config(r1=1, replicates=100))
+        run_cell(small_config(r1=1, replicates=200))
+        (z_short, v_short), (z_long, v_long) = seen
+        assert np.array_equal(z_short, z_long[:100])
+        assert np.array_equal(v_short, v_long[:100])
+
+    def test_sample_sizes_do_not_change_the_cell(self):
+        # The paper's rows (5, 5, 4, 4) and (50, 50, 4, 4) are one experiment.
+        small = run_cell(small_config(n=5, m=5, r1=4, r2=4))
+        large = run_cell(small_config(n=50, m=50, r1=4, r2=4))
+        assert (small.true_r, small.mean_estimates, small.mse, small.bias, small.mc_stderr) == (
+            large.true_r, large.mean_estimates, large.mse, large.bias, large.mc_stderr)
 
     def test_first_estimate_out_of_range_is_named(self, monkeypatch):
         real = simulation.estimate_kernel
@@ -173,17 +194,45 @@ class TestRunCoverage:
         config = small_config(replicates=100, seed=17)
         result = run_coverage(config, "exact")
         target = true_reliability(config.params)
+        z, v = cell_totals(config)
         hits = 0
         widths = 0.0
         for i in range(config.replicates):
-            data = draw_dataset(config.params, config.n, config.m,
-                                config.r1, config.r2, RngStream(config.seed, i))
-            interval = exact_ci(data, config.level)
-            hits += interval.lower <= target <= interval.upper
-            widths += interval.upper - interval.lower
+            (lower,), (upper,) = interval_kernel("exact", config.r1, z[i:i + 1],
+                                                 config.r2, v[i:i + 1], config.level)
+            hits += lower <= target <= upper
+            widths += upper - lower
         assert result.coverage == hits / config.replicates
         assert result.mean_width == pytest.approx(widths / config.replicates, rel=1e-12)
         assert result.method == "exact"
+
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_failing_replicate_is_named(self, monkeypatch, method):
+        config = small_config(replicates=10)
+        poisoned = cell_totals(config)[0][6]
+        real = simulation.interval_kernel
+
+        def flaky(method, r1, z, r2, v, level):
+            if np.isin(z, poisoned).any():
+                raise ValueError("boom")
+            return real(method, r1, z, r2, v, level)
+
+        monkeypatch.setattr(simulation, "interval_kernel", flaky)
+        with pytest.raises(SimulationError, match=r"replicate 6 failed: boom"):
+            run_coverage(config, method)
+
+    def test_first_interval_out_of_range_is_named(self, monkeypatch):
+        real = simulation.interval_kernel
+
+        def inverted(*args):
+            lower, upper = real(*args)
+            lower[[3, 8]] = upper[[3, 8]] + 0.25
+            return lower, upper
+
+        monkeypatch.setattr(simulation, "interval_kernel", inverted)
+        with pytest.raises(SimulationError,
+                           match=r"replicate 3 failed: bounds must satisfy 0 <= lower <= upper"):
+            run_coverage(small_config(replicates=10), "asymptotic")
 
     def test_exact_method_attains_nominal_level(self):
         config = small_config(replicates=1000, seed=23, level=0.9)
@@ -210,11 +259,11 @@ class TestRunGrid:
         assert run_grid(configs, workers=1) == run_grid(configs, workers=2)
 
     def test_failed_cell_does_not_abort_the_grid(self, monkeypatch):
-        configs = [small_config(replicates=5, n=size, m=size) for size in (8, 7, 6)]
-        bad = configs[1]
-        poison_kernel(monkeypatch,
-                      [replicate_data(bad, i).strength.ttt for i in range(bad.replicates)],
-                      ValueError("bad cell"))
+        # Cells differing only in n and m draw the same totals, so the bad
+        # cell gets a seed of its own.
+        configs = [small_config(replicates=5, n=size, m=size, seed=seed)
+                   for size, seed in ((8, 71), (7, 72), (6, 71))]
+        poison_kernel(monkeypatch, cell_totals(configs[1])[0], ValueError("bad cell"))
         results = run_grid(configs, workers=1)
         assert not isinstance(results[0], CellFailure)
         assert isinstance(results[1], CellFailure)

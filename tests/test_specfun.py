@@ -6,7 +6,6 @@ test helpers, where it recomputes the estimators' earlier results.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -18,38 +17,13 @@ from numpy.polynomial.legendre import leggauss
 from helpers import integrate_1d
 from stress_strength import (
     NonConvergenceError,
-    chisq_cdf,
-    chisq_quantile,
     f_cdf,
     f_quantile,
     gauss_legendre,
-    ln_gamma,
     normal_cdf,
     normal_quantile,
     reg_incomplete_beta,
-    reg_lower_gamma,
 )
-
-
-class TestLnGamma:
-    def test_small_integer_and_half_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
-
-    def test_accuracy_over_wide_range(self):
-        # Target: absolute error 1e-10, relaxed to a few ulps once the
-        # magnitude of ln(gamma) makes 1e-10 unrepresentable in float64.
-        xs = np.geomspace(1e-3, 1e6, 60)
-        for x in xs:
-            truth = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            tolerance = max(1e-10, 4.0 * math.ulp(abs(truth)))
-            assert abs(ln_gamma(float(x)) - truth) <= tolerance
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_rejects_nonpositive_or_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
 
 
 class TestRegIncompleteBeta:
@@ -93,19 +67,6 @@ class TestRegIncompleteBeta:
             reg_incomplete_beta(1.0, -2.0, 0.5)
         with pytest.raises(ValueError):
             reg_incomplete_beta(1.0, 1.0, 1.5)
-
-
-class TestRegLowerGamma:
-    def test_known_values(self):
-        # P(1, x) is the exponential CDF.
-        assert reg_lower_gamma(1.0, 0.7) == pytest.approx(-math.expm1(-0.7), abs=1e-14)
-        assert reg_lower_gamma(2.5, 0.0) == 0.0
-
-    def test_matches_reference_grid(self):
-        for a in [0.3, 1.0, 4.0, 25.0, 200.0]:
-            for x in [0.01, 0.5, 1.0, 4.0, 24.0, 250.0, 400.0]:
-                expected = scipy.special.gammainc(a, x)
-                assert abs(reg_lower_gamma(a, x) - expected) <= 1e-12
 
 
 def _normal_cdf_by_simpson(z: float) -> float:
@@ -188,36 +149,6 @@ class TestFQuantile:
             f_quantile(0.0, 2.0, 2.0)
         with pytest.raises(ValueError):
             f_quantile(0.5, -1.0, 2.0)
-
-
-class TestChisqQuantile:
-    def test_df2_closed_form(self):
-        # With two degrees of freedom the distribution is exponential.
-        for p in [0.1, 0.5, 0.9, 0.99]:
-            assert chisq_quantile(p, 2.0) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-9)
-
-    def test_monte_carlo_quantile_check(self):
-        rng = np.random.default_rng(7)
-        draws = rng.chisquare(4, size=10**6)
-        q = chisq_quantile(0.9, 4.0)
-        assert abs(float(np.mean(draws <= q)) - 0.9) <= 0.002
-
-    def test_round_trip_through_own_cdf(self):
-        for df in [1.0, 2.0, 10.0, 48.0]:
-            for p in np.linspace(0.005, 0.995, 34):
-                assert abs(chisq_cdf(chisq_quantile(float(p), df), df) - p) <= 1e-9
-
-    def test_matches_reference(self):
-        for p in [0.025, 0.5, 0.975]:
-            for df in [2.0, 10.0, 100.0]:
-                expected = scipy.stats.chi2.ppf(p, df)
-                assert chisq_quantile(p, df) == pytest.approx(expected, rel=1e-9)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            chisq_quantile(1.0, 3.0)
-        with pytest.raises(ValueError):
-            chisq_quantile(0.5, 0.0)
 
 
 # (integrand, lower, upper, exact integral)
