@@ -8,10 +8,15 @@ any single table can be rerun later with
     stress-strength simulate --grid <outdir>/grid_<name>.csv --seed <seed> \
         --prior-strength 2 4 --prior-stress 2 5
 
-Defaults reproduce the shipped study: 2999 replicates per cell, seed 42,
-and the conjugate priors (2, 4) on the strength scale and (2, 5) on the
-stress scale, which R3 uses.  With both priors non-informative (0 0), R3
-is the same posterior mean as R4, so its columns repeat R4's.
+or with any other prior in place of the one shown.  By default every
+cell runs 2999 replicates with seed 42.
+
+R3 uses the conjugate priors PRIOR_STRENGTH = (2, 4) on the strength
+scale and PRIOR_STRESS = (2, 5) on the stress scale.  These are an
+illustrative pair, the one the benchmark uses; they are not the paper's
+prior values, which are not recorded in this repository.  With both
+priors non-informative (0 0), R3 is the same posterior mean as R4, so
+its columns repeat R4's.
 """
 
 import argparse
@@ -45,6 +50,10 @@ STUDIES = [
     ("unequal", UNEQUAL_ROWS, [(2.0, 3.0), (2.0, 6.0), (7.0, 7.0)]),
 ]
 
+# Conjugate gamma priors (u, v) for R3; illustrative, not the paper's values.
+PRIOR_STRENGTH = (2.0, 4.0)
+PRIOR_STRESS = (2.0, 5.0)
+
 
 def write_grid(path: Path, rows, alpha: float, beta: float, replicates: int) -> None:
     lines = ["m,n,r1,r2,alpha,beta,replicates"]
@@ -60,10 +69,6 @@ def main(argv=None) -> int:
                         help="Monte Carlo replicates per cell")
     parser.add_argument("--seed", type=int, default=42, help="base seed for every cell")
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--prior-strength", nargs=2, type=float, metavar=("U", "V"),
-                        default=(2.0, 4.0), help="conjugate prior on the strength scale")
-    parser.add_argument("--prior-stress", nargs=2, type=float, metavar=("U", "V"),
-                        default=(2.0, 5.0), help="conjugate prior on the stress scale")
     args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -79,8 +84,8 @@ def main(argv=None) -> int:
             status = cli_main([
                 "simulate", "--grid", str(grid_path), "--seed", str(args.seed),
                 "--out", str(out_path), "--workers", str(args.workers),
-                "--prior-strength", *map(repr, args.prior_strength),
-                "--prior-stress", *map(repr, args.prior_stress),
+                "--prior-strength", *map(repr, PRIOR_STRENGTH),
+                "--prior-stress", *map(repr, PRIOR_STRESS),
             ])
             if status != 0:
                 failures += 1

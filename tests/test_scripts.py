@@ -17,7 +17,7 @@ def load_script(name):
 
 
 class TestRunTableGrids:
-    def run(self, monkeypatch, tmp_path, *flags):
+    def run(self, monkeypatch, tmp_path):
         script = load_script("run_table_grids")
         manifests = []
 
@@ -26,19 +26,15 @@ class TestRunTableGrids:
             return 0
 
         monkeypatch.setattr(script, "cli_main", fake_cli_main)
-        assert script.main(["--outdir", str(tmp_path), "--replicates", "3", *flags]) == 0
+        assert script.main(["--outdir", str(tmp_path), "--replicates", "3"]) == 0
         assert len(manifests) == 7
         assert {manifest.command for manifest in manifests} == {"simulate"}
-        return manifests
-
-    def test_both_priors_reach_simulate(self, monkeypatch, tmp_path):
-        manifests = self.run(monkeypatch, tmp_path,
-                             "--prior-strength", "1.5", "3.25", "--prior-stress", "0.5", "7")
-        for manifest in manifests:
-            assert manifest.prior_strength == GammaPrior(1.5, 3.25)
-            assert manifest.prior_stress == GammaPrior(0.5, 7.0)
+        return script, manifests
 
     def test_default_priors_are_informative(self, monkeypatch, tmp_path):
-        for manifest in self.run(monkeypatch, tmp_path):
-            assert manifest.prior_strength == GammaPrior(2.0, 4.0)
-            assert manifest.prior_stress == GammaPrior(2.0, 5.0)
+        script, manifests = self.run(monkeypatch, tmp_path)
+        assert script.PRIOR_STRENGTH == (2.0, 4.0)
+        assert script.PRIOR_STRESS == (2.0, 5.0)
+        for manifest in manifests:
+            assert manifest.prior_strength == GammaPrior(*script.PRIOR_STRENGTH)
+            assert manifest.prior_stress == GammaPrior(*script.PRIOR_STRESS)
