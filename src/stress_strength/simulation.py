@@ -17,6 +17,7 @@ as array kernels over the cell's totals.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -198,7 +199,8 @@ def run_grid(
 
     Cells are independent, so ``workers > 1`` fans them out over processes;
     per-cell seeding makes the results identical either way.  A failing
-    cell yields a :class:`CellFailure` entry instead of aborting the rest.
+    cell yields a :class:`CellFailure` entry instead of aborting the rest,
+    and so does every cell a dead worker process took down with the pool.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -206,4 +208,11 @@ def run_grid(
     if workers == 1 or len(configs) <= 1:
         return [_grid_entry(config) for config in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_grid_entry, configs))
+        futures = [pool.submit(_grid_entry, config) for config in configs]
+    entries: list[SimCellResult | CellFailure] = []
+    for config, future in zip(configs, futures):
+        try:
+            entries.append(future.result())
+        except BrokenProcessPool as exc:
+            entries.append(CellFailure(config=config, message=f"worker process died: {exc}"))
+    return entries

@@ -14,8 +14,12 @@ to 1e-10 wherever that route was accurate.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 import mpmath
@@ -23,7 +27,24 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special, stats
 
+import stress_strength.simulation as simulation
 from stress_strength import CensoredSample, NonConvergenceError, StressStrengthData
+
+
+def kill_worker_on(monkeypatch, dies: Callable[[object], bool]) -> None:
+    """Make ``run_grid``'s worker process exit at once on each cell for which
+    ``dies(config)`` holds.  Workers are forked, so they run the patched
+    ``run_cell``."""
+    real_run_cell = simulation.run_cell
+
+    def run_cell_or_exit(config):
+        if dies(config):
+            os._exit(1)
+        return real_run_cell(config)
+
+    monkeypatch.setattr(simulation, "run_cell", run_cell_or_exit)
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 def sample_with_totals(observed: int, total_time: float) -> CensoredSample:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import stress_strength.cli as cli
+from helpers import kill_worker_on
 from stress_strength import (
     NONINFORMATIVE,
     CensoredSample,
@@ -362,6 +363,19 @@ class TestSimulateCommand:
         assert len(rows) == 2
         assert rows[1][:4] == ["6", "6", "5", "5"]
 
+    def test_dead_worker_exits_one_with_a_message(self, tmp_path, capsys, monkeypatch):
+        grid = write_grid(tmp_path / "g.csv", [
+            (6, 6, 4, 4, 2.0, 3.0, 10),
+            (6, 6, 5, 5, 2.0, 3.0, 10),
+            (6, 6, 3, 3, 2.0, 3.0, 10),
+        ])
+        kill_worker_on(monkeypatch, lambda config: config.r1 == 5)
+        rc = cli.main(["simulate", "--grid", grid, "--workers", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "cell 2 (m=6, n=6, r1=5, r2=5): worker process died: " in captured.err
+        assert "Traceback" not in captured.err
+        assert list(csv.reader(captured.out.splitlines()))[0] == list(RESULT_COLUMNS)
 
     def test_seed_beyond_64_bits_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
         grid = write_grid(tmp_path / "g.csv", [(6, 6, 4, 4, 2.0, 3.0, 10)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stress_strength.simulation as simulation
+from helpers import kill_worker_on
 from stress_strength import (
     CellFailure,
     EstimateSet,
@@ -11,6 +12,7 @@ from stress_strength import (
     GammaPrior,
     RngStream,
     SimCellConfig,
+    SimCellResult,
     SimulationError,
     draw_totals,
     estimate_kernel,
@@ -273,6 +275,16 @@ class TestRunGrid:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             run_grid([small_config(replicates=5)], workers=0)
+
+    def test_dead_worker_becomes_cell_failures(self, monkeypatch):
+        configs = [small_config(replicates=5, seed=seed) for seed in (1, 2, 3)]
+        kill_worker_on(monkeypatch, lambda config: config.seed == 2)
+        entries = run_grid(configs, workers=2)
+        assert [entry.config for entry in entries] == configs
+        assert isinstance(entries[1], CellFailure)
+        assert entries[1].message.startswith("worker process died: ")
+        for entry in entries:
+            assert isinstance(entry, (SimCellResult, CellFailure))
 
     def test_mle_mse_decreases_with_heavier_observation(self):
         configs = [

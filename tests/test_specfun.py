@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+import stress_strength.specfun as specfun
 from helpers import integrate_1d
 from stress_strength import (
     NonConvergenceError,
@@ -149,6 +150,77 @@ class TestFQuantile:
             f_quantile(0.0, 2.0, 2.0)
         with pytest.raises(ValueError):
             f_quantile(0.5, -1.0, 2.0)
+
+    @pytest.mark.parametrize("d1, d2", [(0.5, 0.5), (1.0, 1.0), (400.0, 2.0)])
+    def test_upper_tail_with_few_denominator_df(self, d1, d2):
+        # The quantile is 8.46e22 at (0.5, 0.5); f_cdf, which is 1 - (upper
+        # tail), rounds to 1 long before it.
+        p = 1.0 - 1e-6
+        expected = scipy.stats.f.ppf(p, d1, d2)
+        assert abs(f_quantile(p, d1, d2) - expected) <= 1e-12 * expected
+
+    def test_matches_reference_on_interval_traffic(self):
+        # Every quantile exact_ci asks for with r1, r2 in 1..60.
+        r1, r2, level = np.meshgrid(np.arange(1, 61), np.arange(1, 61), [0.8, 0.9, 0.95, 0.99])
+        tail = 0.5 * (1.0 - level.ravel())
+        p = np.concatenate((tail, 1.0 - tail))
+        d1 = np.tile(2.0 * r2.ravel(), 2)
+        d2 = np.tile(2.0 * r1.ravel(), 2)
+        expected = scipy.stats.f.ppf(p, d1, d2)
+        got = np.array([f_quantile(*args) for args in zip(p.tolist(), d1.tolist(), d2.tolist())])
+        assert np.max(np.abs(got - expected) / expected) <= 1e-12
+
+    def test_matches_reference_over_wide_grid(self):
+        dfs = [1.0, 2.0, 3.0, 8.0, 40.0, 120.0, 400.0, 2000.0]
+        for p in [1e-10, 1e-6, 0.005, 0.1, 0.5, 0.9, 0.995, 1.0 - 1e-6]:
+            for d1 in dfs:
+                for d2 in dfs:
+                    expected = scipy.stats.f.ppf(p, d1, d2)
+                    assert abs(f_quantile(p, d1, d2) - expected) <= 1e-10 * expected
+
+    @pytest.fixture
+    def cold_quantiles(self):
+        f_quantile.cache_clear()
+        yield
+        f_quantile.cache_clear()
+
+    @pytest.mark.parametrize("start", ["near zero", "near one", "other side of the median"])
+    @pytest.mark.parametrize(
+        "p, d1, d2",
+        [(0.025, 2.0, 2.0), (0.975, 16.0, 6.0), (0.005, 120.0, 40.0), (0.9, 8.0, 14.0),
+         (1e-6, 3.0, 400.0), (1.0 - 1e-6, 1.0, 1.0)],
+    )
+    def test_far_starting_points_reach_the_same_quantile(
+        self, monkeypatch, cold_quantiles, start, p, d1, d2
+    ):
+        expected = f_quantile(p, d1, d2)
+        f_quantile.cache_clear()
+        real_guess = specfun._beta_guess
+        starts = {
+            "near zero": lambda p, q, a, b: (1e-300, 1.0),
+            "near one": lambda p, q, a, b: (1.0 - 2.0**-53, 2.0**-53),
+            "other side of the median": lambda p, q, a, b: real_guess(q, p, a, b),
+        }
+        monkeypatch.setattr(specfun, "_beta_guess", starts[start])
+        assert abs(f_quantile(p, d1, d2) - expected) <= 1e-13 * expected
+
+    def test_iteration_limit_raises(self, monkeypatch, cold_quantiles):
+        # From a far start, the search succeeds with exactly the evaluations
+        # it needs and raises with one fewer.
+        monkeypatch.setattr(specfun, "_beta_guess", lambda p, q, a, b: (1e-300, 1.0))
+        real_tails = specfun._beta_tails
+        points = []
+        monkeypatch.setattr(specfun, "_beta_tails",
+                            lambda a, b, x: points.append(x) or real_tails(a, b, x))
+        expected = f_quantile(0.975, 16.0, 6.0)
+        needed = len(points)
+        f_quantile.cache_clear()
+        monkeypatch.setattr(specfun, "_QUANTILE_MAX_ITER", needed)
+        assert f_quantile(0.975, 16.0, 6.0) == expected
+        f_quantile.cache_clear()
+        monkeypatch.setattr(specfun, "_QUANTILE_MAX_ITER", needed - 1)
+        with pytest.raises(NonConvergenceError):
+            f_quantile(0.975, 16.0, 6.0)
 
 
 # (integrand, lower, upper, exact integral)
