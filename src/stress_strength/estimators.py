@@ -20,7 +20,10 @@ strength and stress samples.  Four estimators are provided:
 Both integrals use fixed Gauss-Legendre rules whose sizes are powers of
 two, built on first use and memoised in :func:`_unit_rule`; see
 :func:`umvue_reliability` and :func:`bayes_reliability` for why each rule
-is exact or how it is guarded.
+is exact or how it is guarded.  The UMVUE evaluates one branch integral,
+mirrored for V < Z; its spacing-density factor is shared by every value
+in a call, and the nodes where that factor is below 2**-60 are dropped,
+which moves the result by at most 2**-60.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ __all__ = [
 # Kernel temporaries hold at most this many (value, node) pairs at a time,
 # so peak memory does not grow with the number of values in a call.
 _CHUNK_ELEMENTS = 4096
+# The UMVUE drops the nodes of its rule where the spacing density is below
+# exp(_UMVUE_LOG_TRIM) = 2**-60; together they weigh at most that.
+_UMVUE_LOG_TRIM = -60.0 * math.log(2.0)
 # Posterior means: the smaller rule of the first pair, the largest rule, and
 # the agreement between a rule and its double that accepts a value.
 _BAYES_FIRST_NODES = 128
@@ -163,39 +169,61 @@ def _mle(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
     return alpha_hat / (alpha_hat + beta_hat)
 
 
+def _umvue_branch(a: int, b: int, x: np.ndarray) -> np.ndarray:
+    # H(a, b, x) = P(v1 < z1), where z1 is the first spacing of a sample of
+    # a failures with total time 1 and v1 that of b failures with total
+    # 1/x >= 1: (a-1) times the integral over [0, 1] of
+    # (1-s)**(a-2) * (1 - (1 - x*s)**(b-1)), a polynomial of degree a+b-3.
+    if a == 1:
+        # z1 is its whole total; x = 1 gives log1p(-1) = -inf and H = 1.
+        with np.errstate(divide="ignore"):
+            return -np.expm1((b - 1) * np.log1p(-x))
+    k = 1 << (-(-(a + b - 2) // 2) - 1).bit_length()
+    s, w = _unit_rule(k)
+    if a > 2:
+        # The bracket lies in [0, 1] and the weights sum to 1, so the nodes
+        # beyond cut, where (a-1)(1-s)**(a-2) < 2**-60, add at most 2**-60.
+        cut = -math.expm1((_UMVUE_LOG_TRIM - math.log(a - 1)) / (a - 2))
+        if cut < s[-1]:
+            kept = int(np.searchsorted(s, cut, side="right"))
+            s, w = s[:kept], w[:kept]
+    neg_s = -s
+    # The density of z1 times the weights, shared by every value, and
+    # negated because expm1 below gives minus the bracket.
+    factor = (1 - a) * w * np.exp((a - 2) * np.log1p(neg_s))
+    out = np.empty_like(x)
+    rows = max(1, _CHUNK_ELEMENTS // s.size)
+    for lo in range(0, x.size, rows):
+        part = slice(lo, lo + rows)
+        t = np.multiply(x[part, None], neg_s)
+        np.log1p(t, out=t)
+        t *= b - 1
+        np.expm1(t, out=t)
+        t *= factor
+        out[part] = t.sum(axis=1)
+    return out
+
+
 def _umvue(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
     if r1 == 1 and r2 == 1:
         # Both spacings equal their totals; the indicator itself remains.
         return (v < z).astype(float)
-    if r1 == 1:
-        # P(v1 < Z | V) = 1 - (1 - Z/V)**(r2-1) for Z < V, and 1 beyond.
-        out = np.ones_like(z)
-        below = z < v
-        out[below] = -np.expm1((r2 - 1) * np.log1p(-z[below] / v[below]))
-        return out
-    upper = np.minimum(z, v)
-    # The strength tail beyond V, P(z1 > V | Z) = (1 - V/Z)**(r1-1), which
-    # is 0 unless V < Z.
-    tail = (1.0 - upper / z) ** (r1 - 1)
-    if r2 == 1:
-        # The stress spacing equals its total, so only that tail remains.
-        return tail
-    # Over [0, min(Z, V)]: density of z1 times cdf of v1, a polynomial of
-    # degree r1 + r2 - 3 in t = upper * s for s in [0, 1].
-    k = 1 << (-(-(r1 + r2 - 2) // 2) - 1).bit_length()
-    s, w = _unit_rule(k)
-    to_z = (-upper / z)[:, None]
-    to_v = (-upper / v)[:, None]
-    integral = np.empty_like(z)
-    rows = max(1, _CHUNK_ELEMENTS // k)
-    for lo in range(0, z.size, rows):
-        part = slice(lo, lo + rows)
-        density = np.exp((r1 - 2) * np.log1p(to_z[part] * s))
-        cdf = np.expm1((r2 - 1) * np.log1p(to_v[part] * s))
-        integral[part] = (density * cdf * w).sum(axis=1)
-    integral *= (1 - r1) * upper / z
-    integral += tail
-    return np.minimum(np.maximum(integral, 0.0, out=integral), 1.0, out=integral)
+    # R2 = H(r1, r2, Z/V) where V >= Z.  Where V < Z, R2 = 1 - P(z1 < v1)
+    # = 1 - H(r2, r1, V/Z), the same kernel with the samples swapped.
+    mirrored = v < z
+    flipped = np.count_nonzero(mirrored)
+    x = np.minimum(z, v) / np.maximum(z, v)
+    if r1 == r2 or flipped in (0, x.size):
+        # One branch shape serves every value.
+        a, b = (r2, r1) if flipped else (r1, r2)
+        out = _umvue_branch(a, b, x)
+    else:
+        out = np.empty_like(x)
+        out[~mirrored] = _umvue_branch(r1, r2, x[~mirrored])
+        out[mirrored] = _umvue_branch(r2, r1, x[mirrored])
+    if flipped:
+        np.subtract(1.0, out, out=out, where=mirrored)
+    return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -325,12 +353,23 @@ def umvue_reliability(data: StressStrengthData) -> float:
     Conditions the unbiased indicator ``1{v1 < z1}`` (first normalized
     spacings of the two samples, each exponential with its sample's scale)
     on the pair of totals on test (Z, V).  Given its total, a spacing has
-    density ``(r-1) * (1 - t/total)**(r-2) / total`` on (0, total), so the
-    estimate is the integral over ``[0, min(Z, V)]`` of the strength
-    density times the stress cdf, plus the remainder ``(1 - V/Z)**(r1-1)``
-    when V < Z.  The integrand is a polynomial of degree r1 + r2 - 3, which
-    a Gauss-Legendre rule of ceil((r1 + r2 - 2) / 2) or more nodes
-    integrates exactly; r1 = 1 or r2 = 1 have closed forms.
+    density ``(r-1) * (1 - t/total)**(r-2) / total`` on (0, total).  For
+    V >= Z the estimate is H(r1, r2, Z/V), where
+
+        H(a, b, x) = (a-1) * integral over [0, 1] of
+                     (1-s)**(a-2) * (1 - (1 - x*s)**(b-1)) ds
+
+    is the strength density times the stress cdf with t = Z*s.  For V < Z
+    it is 1 - P(z1 < v1) = 1 - H(r2, r1, V/Z), the same integral with the
+    samples' roles swapped, so x never exceeds 1.  The integrand is a
+    polynomial of degree r1 + r2 - 3, which a Gauss-Legendre rule of
+    ceil((r1 + r2 - 2) / 2) or more nodes integrates exactly.  The factor
+    (a-1)(1-s)**(a-2) is the same for every value, so it is computed once
+    per call, and the nodes where it is below 2**-60 are dropped: the
+    bracket lies in [0, 1] and the weights sum to 1, so the dropped terms
+    total at most 2**-60.  With r1 = r2 = 24, 200 and 1000 this keeps 25
+    of 32, 78 of 256 and 143 of 1024 nodes.  a = 1 has the closed form
+    1 - (1 - x)**(b-1), and b = 1 gives H = 0.
     """
     return float(_umvue(data.strength.observed, np.array([data.strength.ttt]),
                         data.stress.observed, np.array([data.stress.ttt]))[0])

@@ -1,16 +1,17 @@
 """Special functions and quadrature rules used by the estimators.
 
-Everything here is self-contained and deterministic: the normal quantile is
-found by bisection on its CDF, the F quantile by safeguarded Halley steps on
-the regularized incomplete beta function, and Gauss-Legendre rules by
-Newton's method on the Legendre three-term recurrence.
+Everything here is self-contained and deterministic: the normal quantile
+comes from the standard library (Wichura's AS 241), the F quantile from
+safeguarded Halley steps on the regularized incomplete beta function, and
+Gauss-Legendre rules from Newton's method on the Legendre three-term
+recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from statistics import NormalDist
 
 import numpy as np
 
@@ -29,6 +30,9 @@ _CF_TINY = 1e-300
 # Enough steps for bisection alone to take [0, 1] down to adjacent floats
 # around any root, including one among the subnormals.
 _QUANTILE_MAX_ITER = 1200
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2n / (2n (2n - 1)) for n = 7 down to 1: the terms of Stirling's series.
+_STIRLING_COEFFICIENTS = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 
 
 class NonConvergenceError(RuntimeError):
@@ -90,13 +94,7 @@ def _beta_tails(a: float, b: float, x: float) -> tuple[float, float, float]:
     # (I_x(a, b), 1 - I_x(a, b), x**a * (1 - x)**b / B(a, b)) for 0 < x < 1.
     # The continued fraction gives one tail directly, to full relative
     # precision; the other is its complement.
-    front = math.exp(
-        a * math.log(x)
-        + b * math.log1p(-x)
-        + math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-    )
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         lower = front * _beta_continued_fraction(a, b, x) / a
         return lower, 1.0 - lower, front
@@ -104,32 +102,43 @@ def _beta_tails(a: float, b: float, x: float) -> tuple[float, float, float]:
     return 1.0 - upper, upper, front
 
 
+def _log_beta(a: float, b: float) -> float:
+    # log B(a, b).  For b >= 10, lgamma(b) - lgamma(a + b) is taken from
+    # Stirling's formula for both, so the two large values never cancel,
+    # and for a >= 10 so is lgamma(a) (DiDonato & Morris, ACM TOMS 708,
+    # 1992: betaln and algdiv).
+    a, b = min(a, b), max(a, b)
+    if b < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    rest = _stirling_remainder(b) - _stirling_remainder(a + b) - (b - 0.5) * math.log1p(a / b)
+    if a < 10.0:
+        return math.lgamma(a) + a * (1.0 - math.log(a + b)) + rest
+    return (_HALF_LOG_2PI + _stirling_remainder(a) + (a - 0.5) * math.log(a / (a + b))
+            - 0.5 * math.log(a + b) + rest)
+
+
+def _stirling_remainder(x: float) -> float:
+    # lgamma(x) - ((x - 0.5) log x - x + log sqrt(2 pi)) for x >= 10, by
+    # Stirling's series; the first term left out is below 4e-17.
+    t = 1.0 / (x * x)
+    total = 0.0
+    for c in _STIRLING_COEFFICIENTS:
+        total = total * t + c
+    return total / x
+
+
 def normal_cdf(z: float) -> float:
     """Standard normal CDF."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _bisect_monotone(cdf: Callable[[float], float], p: float, lo: float, hi: float) -> float:
-    # Bisection on a nondecreasing cdf with cdf(lo) <= p <= cdf(hi); iterates
-    # until the bracket collapses to adjacent floats, so the answer is as
-    # accurate as the cdf itself.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=8192)
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile, found by bisection on :func:`normal_cdf`."""
+    """Standard normal quantile, by the standard library's
+    ``NormalDist().inv_cdf`` (Wichura's algorithm AS 241)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    return _bisect_monotone(normal_cdf, p, -40.0, 40.0)
+    return NormalDist().inv_cdf(p)
 
 
 def f_cdf(x: float, d1: float, d2: float) -> float:

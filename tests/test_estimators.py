@@ -40,7 +40,13 @@ from stress_strength import (
     true_reliability,
     umvue_reliability,
 )
-from stress_strength.estimators import _posterior_mean_reliability, _posterior_means, _umvue
+from stress_strength.estimators import (
+    _posterior_mean_reliability,
+    _posterior_means,
+    _umvue,
+    _umvue_branch,
+    _unit_rule,
+)
 
 
 def umvue_batch(r1, z, r2, v):
@@ -267,7 +273,9 @@ class TestUmvueKernel:
     @pytest.mark.parametrize("r1,r2,ratio", [
         (2, 2, 0.3), (2, 9, 1.7), (40, 3, 0.9), (60, 60, 1.02),
         (200, 200, 1.0), (200, 1000, 0.21), (1000, 200, 4.9), (1000, 1000, 0.97),
-        (999, 1000, 1.04),
+        (999, 1000, 1.04), (2000, 2000, 1.0), (5000, 3, 0.999), (3, 5000, 1.001),
+        (1000, 2, 0.87), (1000, 4, 1.7e-4), (10**4, 10**4, 0.99), (10**4, 10**4, 1.01),
+        (2, 10**4, 0.5), (10**4, 2, 2.0),
     ])
     def test_matches_high_precision_oracle(self, r1, r2, ratio):
         data = data_with_totals(r1, r2, 5.0, 5.0 * ratio)
@@ -285,11 +293,25 @@ class TestUmvueKernel:
 
     def test_batch_rows_equal_single_evaluations(self):
         rng = np.random.default_rng(8)
-        for r1, r2 in ((1, 1), (1, 4), (6, 1), (3, 7), (300, 500)):
+        for r1, r2 in ((1, 1), (1, 4), (6, 1), (3, 7), (300, 500), (1000, 1000), (10**4, 3)):
             z, v = rng.exponential(1.0, size=(2, 37))
             batch = umvue_batch(r1, z, r2, v)
             single = [umvue_batch(r1, [zi], r2, [vi])[0] for zi, vi in zip(z, v)]
             assert batch.tolist() == single
+
+    @pytest.mark.parametrize("a", [3, 24, 200, 1000, 10**4])
+    @pytest.mark.parametrize("b", [3, 24, 1000])
+    def test_trimmed_rule_is_within_its_bound_of_the_full_rule(self, a, b):
+        # The branch kernel drops the nodes where (a-1)(1-s)**(a-2) is below
+        # 2**-60; summing the same terms over every node of the rule must
+        # not differ by more than that bound plus rounding.
+        k = 1 << (-(-(a + b - 2) // 2) - 1).bit_length()
+        s, w = _unit_rule(k)
+        x = np.array([1e-6, 0.01, 0.3, 0.9, 0.999, 1.0])
+        bracket = -np.expm1((b - 1) * np.log1p(-np.outer(x, s)))
+        full = (a - 1) * (bracket * (w * np.exp((a - 2) * np.log1p(-s)))).sum(axis=1)
+        trimmed = _umvue_branch(a, b, x)
+        assert np.max(np.abs(trimmed - full)) <= 2.0**-60 + 1e-15
 
 
 

@@ -6,6 +6,7 @@ test helpers, where it recomputes the estimators' earlier results.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -56,6 +57,17 @@ class TestRegIncompleteBeta:
         total = reg_incomplete_beta(a, b, x) + reg_incomplete_beta(b, a, complement)
         assert abs(total - 1.0) <= 1e-12
 
+    def test_one_small_and_one_large_shape(self):
+        # lgamma(a + b) - lgamma(b) cancels for small a and large b; the
+        # front factor must not lose the digits it cancels.  scipy's
+        # betainc is itself up to 8e-13 off here, so mpmath is the oracle.
+        for a in [0.5, 1.0, 5.0, 12.0]:
+            for b in [1e3, 1e4, 1e5]:
+                for x in [0.1 * a / b, a / b]:
+                    with mpmath.workdps(40):
+                        expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+                    assert abs(reg_incomplete_beta(a, b, x) - expected) <= 1e-13 * expected
+
     def test_strictly_monotone_in_x(self):
         xs = np.linspace(0.01, 0.99, 50)
         values = [reg_incomplete_beta(3.0, 5.0, float(x)) for x in xs]
@@ -105,6 +117,11 @@ class TestNormalQuantile:
     def test_round_trip_through_own_cdf(self):
         for p in np.linspace(0.001, 0.999, 41):
             assert abs(normal_cdf(normal_quantile(float(p))) - p) <= 1e-9
+
+    @pytest.mark.parametrize("p", [1e-10, 0.5 + 1e-9, 0.9, 0.975, 0.995, 1.0 - 1e-10])
+    def test_matches_reference(self, p):
+        expected = scipy.stats.norm.ppf(p)
+        assert abs(normal_quantile(p) - expected) <= 1e-14 * abs(expected)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_rejects_p_outside_open_interval(self, bad):
@@ -159,9 +176,14 @@ class TestFQuantile:
         expected = scipy.stats.f.ppf(p, d1, d2)
         assert abs(f_quantile(p, d1, d2) - expected) <= 1e-12 * expected
 
-    def test_matches_reference_on_interval_traffic(self):
-        # Every quantile exact_ci asks for with r1, r2 in 1..60.
-        r1, r2, level = np.meshgrid(np.arange(1, 61), np.arange(1, 61), [0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("counts", [
+        pytest.param(range(1, 61), id="r-1-to-60"),
+        # One count small and the other large cancelled in the log-beta.
+        pytest.param([1, 2, 3, 10, 60, 200, 1000, 2000, 5000, 10**4], id="r-up-to-1e4"),
+    ])
+    def test_matches_reference_on_interval_traffic(self, counts):
+        # Every quantile exact_ci asks for with r1, r2 in counts.
+        r1, r2, level = np.meshgrid(counts, counts, [0.8, 0.9, 0.95, 0.99])
         tail = 0.5 * (1.0 - level.ravel())
         p = np.concatenate((tail, 1.0 - tail))
         d1 = np.tile(2.0 * r2.ravel(), 2)
