@@ -9,22 +9,14 @@ from .estimators import (
     NONINFORMATIVE,
     EstimateSet,
     GammaPrior,
-    PosteriorParams,
-    bayes_noninf_reliability,
-    bayes_reliability,
     estimate_all,
     estimate_kernel,
-    mle_reliability,
-    mle_scale,
-    posterior_params,
     true_reliability,
-    umvue_reliability,
 )
 from .intervals import (
     METHODS,
     IntervalEstimate,
     asymptotic_ci,
-    delta_variance,
     exact_ci,
     interval_kernel,
 )
@@ -33,9 +25,6 @@ from .sampling import (
     ExponentialScales,
     RngStream,
     StressStrengthData,
-    apply_type2_censoring,
-    draw_dataset,
-    draw_exponential_sample,
     draw_totals,
 )
 from .simulation import (
@@ -71,19 +60,12 @@ __all__ = [
     "METHODS",
     "NONINFORMATIVE",
     "NonConvergenceError",
-    "PosteriorParams",
     "RngStream",
     "SimCellConfig",
     "SimCellResult",
     "SimulationError",
     "StressStrengthData",
-    "apply_type2_censoring",
     "asymptotic_ci",
-    "bayes_noninf_reliability",
-    "bayes_reliability",
-    "delta_variance",
-    "draw_dataset",
-    "draw_exponential_sample",
     "draw_totals",
     "estimate_all",
     "estimate_kernel",
@@ -92,15 +74,11 @@ __all__ = [
     "f_quantile",
     "gauss_legendre",
     "interval_kernel",
-    "mle_reliability",
-    "mle_scale",
     "normal_cdf",
     "normal_quantile",
-    "posterior_params",
     "reg_incomplete_beta",
     "run_cell",
     "run_coverage",
     "run_grid",
     "true_reliability",
-    "umvue_reliability",
 ]

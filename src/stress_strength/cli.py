@@ -172,14 +172,11 @@ def _checked_seed(value: int, source: str, problems: list[str]) -> int:
 def _prior_from_args(pair: list[float] | None, flag: str, problems: list[str]) -> GammaPrior:
     if pair is None:
         return NONINFORMATIVE
-    u, v = pair
-    if not (math.isfinite(u) and u >= 0.0):
-        problems.append(f"{flag} shape U must be finite and nonnegative, got {u}")
+    try:
+        return GammaPrior(*pair)
+    except ValueError as exc:
+        problems.append(f"{flag}: {exc}")
         return NONINFORMATIVE
-    if not (math.isfinite(v) and v >= 0.0):
-        problems.append(f"{flag} scale V must be finite and nonnegative, got {v}")
-        return NONINFORMATIVE
-    return GammaPrior(u, v)
 
 
 def parse_manifest(argv: list[str]) -> RunManifest:
@@ -252,9 +249,9 @@ def parse_manifest(argv: list[str]) -> RunManifest:
         check_counts()
         check_level()
         check_method()
-        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha > 0.0):
+        if not (math.isfinite(args.alpha) and args.alpha > 0.0):
             problems.append(f"--alpha must be positive and finite, got {args.alpha}")
-        if args.beta is not None and not (math.isfinite(args.beta) and args.beta > 0.0):
+        if not (math.isfinite(args.beta) and args.beta > 0.0):
             problems.append(f"--beta must be positive and finite, got {args.beta}")
         if args.r1 < 1 or (args.n >= 1 and args.r1 > args.n):
             problems.append(f"--r1 must lie in [1, n={args.n}], got {args.r1}")

@@ -16,14 +16,11 @@ strength and stress samples.  Four estimators are provided:
   prior, i.e. the conjugate answer with both hyperparameters zero.
 
 :func:`estimate_kernel` evaluates all four over many pairs of totals
-(Z, V) at once, and the functions of one dataset are its length-1 case.
-Both integrals use fixed Gauss-Legendre rules whose sizes are powers of
-two, built on first use and memoised in :func:`_unit_rule`; see
-:func:`umvue_reliability` and :func:`bayes_reliability` for why each rule
-is exact or how it is guarded.  The UMVUE evaluates one branch integral,
-mirrored for V < Z; its spacing-density factor is shared by every value
-in a call, and the nodes where that factor is below 2**-60 are dropped,
-which moves the result by at most 2**-60.
+(Z, V) at once, and :func:`estimate_all` is its length-1 case for one
+dataset.  Both integrals use fixed Gauss-Legendre rules whose sizes are
+powers of two, built on first use and memoised in :func:`_unit_rule`; the
+kernel's docstring derives each integral and says why its rule is exact
+or how it is guarded.
 """
 
 from __future__ import annotations
@@ -34,21 +31,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sampling import CensoredSample, ExponentialScales, StressStrengthData
+from .sampling import ExponentialScales, StressStrengthData
 from .specfun import NonConvergenceError, gauss_legendre
 
 __all__ = [
     "GammaPrior",
     "NONINFORMATIVE",
-    "PosteriorParams",
     "EstimateSet",
     "true_reliability",
-    "mle_scale",
-    "mle_reliability",
-    "umvue_reliability",
-    "posterior_params",
-    "bayes_reliability",
-    "bayes_noninf_reliability",
     "estimate_all",
     "estimate_kernel",
 ]
@@ -93,21 +83,6 @@ NONINFORMATIVE = GammaPrior(0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class PosteriorParams:
-    """Inverse-scale gamma posterior: density proportional to
-    ``(1/scale)**(shape + 1) * exp(-scale_total / scale)``."""
-
-    shape: float
-    scale_total: float
-
-    def __post_init__(self) -> None:
-        for name in ("shape", "scale_total"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
 class EstimateSet:
     """The four point estimates for one dataset."""
 
@@ -128,18 +103,6 @@ class EstimateSet:
 def true_reliability(params: ExponentialScales) -> float:
     """P(Y < X) for independent exponentials with the given means."""
     return params.alpha / (params.alpha + params.beta)
-
-
-def mle_scale(sample: CensoredSample) -> float:
-    """Maximum-likelihood estimate of the scale: total time on test over
-    the number of observed failures."""
-    return sample.ttt / sample.observed
-
-
-def mle_reliability(data: StressStrengthData) -> float:
-    alpha_hat = mle_scale(data.strength)
-    beta_hat = mle_scale(data.stress)
-    return alpha_hat / (alpha_hat + beta_hat)
 
 
 @lru_cache(maxsize=None)
@@ -342,19 +305,15 @@ def estimate_kernel(
     Returns an array of shape (len(z), 4) whose columns are R1 (MLE), R2
     (UMVUE), R3 (conjugate Bayes) and R4 (noninformative Bayes).  R3 is R4
     when both priors are noninformative.
-    """
-    z, v = _check_totals(r1, z, r2, v)
-    return _estimates(r1, z, r2, v, prior_strength, prior_stress)
 
+    R1 plugs the scale MLEs Z/r1 and V/r2, each a total time on test over
+    its number of observed failures, into alpha / (alpha + beta).
 
-def umvue_reliability(data: StressStrengthData) -> float:
-    """Uniformly minimum variance unbiased estimate of P(Y < X).
-
-    Conditions the unbiased indicator ``1{v1 < z1}`` (first normalized
+    R2 conditions the unbiased indicator ``1{v1 < z1}`` (first normalized
     spacings of the two samples, each exponential with its sample's scale)
-    on the pair of totals on test (Z, V).  Given its total, a spacing has
-    density ``(r-1) * (1 - t/total)**(r-2) / total`` on (0, total).  For
-    V >= Z the estimate is H(r1, r2, Z/V), where
+    on the pair of totals (Z, V).  Given its total, a spacing has density
+    ``(r-1) * (1 - t/total)**(r-2) / total`` on (0, total).  For V >= Z
+    the estimate is H(r1, r2, Z/V), where
 
         H(a, b, x) = (a-1) * integral over [0, 1] of
                      (1-s)**(a-2) * (1 - (1 - x*s)**(b-1)) ds
@@ -369,59 +328,27 @@ def umvue_reliability(data: StressStrengthData) -> float:
     bracket lies in [0, 1] and the weights sum to 1, so the dropped terms
     total at most 2**-60.  With r1 = r2 = 24, 200 and 1000 this keeps 25
     of 32, 78 of 256 and 143 of 1024 nodes.  a = 1 has the closed form
-    1 - (1 - x)**(b-1), and b = 1 gives H = 0.
-    """
-    return float(_umvue(data.strength.observed, np.array([data.strength.ttt]),
-                        data.stress.observed, np.array([data.stress.ttt]))[0])
+    1 - (1 - x)**(b-1), b = 1 gives H = 0, and with r1 = r2 = 1 the
+    indicator ``1{V < Z}`` itself remains.
 
-
-def posterior_params(prior: GammaPrior, sample: CensoredSample) -> PosteriorParams:
-    """Conjugate update: shape gains the observed count, scale total gains
-    the total time on test."""
-    return PosteriorParams(
-        shape=prior.shape_u + sample.observed,
-        scale_total=prior.scale_v + sample.ttt,
-    )
-
-
-def _posterior_mean_reliability(
-    strength_post: PosteriorParams, stress_post: PosteriorParams
-) -> float:
-    return float(_posterior_means(
-        strength_post.shape, np.array([strength_post.scale_total]),
-        stress_post.shape, np.array([stress_post.scale_total]),
-    )[0])
-
-
-def bayes_reliability(
-    data: StressStrengthData,
-    prior_strength: GammaPrior,
-    prior_stress: GammaPrior,
-) -> float:
-    """Posterior mean of P(Y < X) under independent conjugate priors.
-
-    With posterior shapes a1, a2 and scale totals zeta, tau, alpha =
-    zeta/G1 and beta = tau/G2 for independent standard gammas G1 ~
-    Gamma(a1), G2 ~ Gamma(a2), so R = 1 / (1 + (tau/zeta) * G1/G2).  In the
-    log-odds y = log(G1/G2) the weight ``exp(a1*y) / (1 + exp(y))**(a1+a2)``
-    is smooth and unimodal at log(a1/a2), and R is a logistic function of y
-    shifted by log(tau/zeta).  The mean is integrated over mode +- max(14
-    sd, 40/shape) (a1 below the mode, a2 above it) with Gauss-Legendre
-    nodes on each side of the mode, and normalised by the integral of the
-    weight alone.  It is accepted once the 128- and 256-node rules agree to
+    R3 and R4 are posterior means.  The conjugate update adds the observed
+    count to a prior's shape and the total on test to its scale, giving
+    posterior shapes a1, a2 and scale totals zeta, tau (for R4, a1 = r1,
+    zeta = Z, a2 = r2, tau = V).  Then alpha = zeta/G1 and beta = tau/G2
+    for independent standard gammas G1 ~ Gamma(a1), G2 ~ Gamma(a2), so
+    R = 1 / (1 + (tau/zeta) * G1/G2).  In the log-odds y = log(G1/G2) the
+    weight ``exp(a1*y) / (1 + exp(y))**(a1+a2)`` is smooth and unimodal at
+    log(a1/a2), and R is a logistic function of y shifted by
+    log(tau/zeta).  The mean is integrated over mode +- max(14 sd,
+    40/shape) (a1 below the mode, a2 above it) with Gauss-Legendre nodes on
+    each side of the mode, and normalised by the integral of the weight
+    alone.  A value is accepted once the 128- and 256-node rules agree to
     1e-12; otherwise the rule is doubled until two successive rules agree,
     and NonConvergenceError is raised if the 2048- and 4096-node rules
     still disagree.
     """
-    return _posterior_mean_reliability(
-        posterior_params(prior_strength, data.strength),
-        posterior_params(prior_stress, data.stress),
-    )
-
-
-def bayes_noninf_reliability(data: StressStrengthData) -> float:
-    """Posterior mean of P(Y < X) under the noninformative 1/scale priors."""
-    return bayes_reliability(data, NONINFORMATIVE, NONINFORMATIVE)
+    z, v = _check_totals(r1, z, r2, v)
+    return _estimates(r1, z, r2, v, prior_strength, prior_stress)
 
 
 def estimate_all(

@@ -20,7 +20,6 @@ from .specfun import f_quantile, normal_quantile
 __all__ = [
     "IntervalEstimate",
     "METHODS",
-    "delta_variance",
     "asymptotic_ci",
     "exact_ci",
     "interval_kernel",
@@ -47,24 +46,6 @@ class IntervalEstimate:
             )
 
 
-def _check_delta_args(r_hat: float, r1: int, r2: int) -> None:
-    if not 0.0 < r_hat < 1.0:
-        raise ValueError(f"r_hat must lie strictly inside (0, 1), got {r_hat}")
-    if r1 < 1 or r2 < 1:
-        raise ValueError(f"observed counts must be >= 1, got r1={r1}, r2={r2}")
-
-
-def delta_variance(r_hat: float, r1: int, r2: int) -> float:
-    """Delta-method variance of the reliability MLE.
-
-    The scale MLEs have variances ``alpha**2/r1`` and ``beta**2/r2``
-    (inverse Fisher information), and the gradient of R contracts them to
-    ``R**2 * (1 - R)**2 * (1/r1 + 1/r2)``, evaluated here at ``r_hat``.
-    """
-    _check_delta_args(r_hat, r1, r2)
-    return r_hat * r_hat * (1.0 - r_hat) * (1.0 - r_hat) * (1.0 / r1 + 1.0 / r2)
-
-
 def _check_method_and_level(method: str, level: float) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -78,10 +59,15 @@ def interval_kernel(
     """Bounds of the ``method`` interval for each pair of totals on test
     (z[i], v[i]), as two arrays (lower, upper).
 
-    ``"asymptotic"`` is the normal interval around the MLE, clamped to
-    [0, 1].  Its standard deviation R(1 - R) * sqrt(1/r1 + 1/r2) is computed
-    as a product rather than as the root of :func:`delta_variance`, whose
-    square underflows to 0 once the MLE falls below about 1e-154.
+    ``"asymptotic"`` is the delta-method normal interval around the MLE,
+    clamped to [0, 1].  The scale MLEs have variances ``alpha**2/r1`` and
+    ``beta**2/r2`` (inverse Fisher information), and the gradient of
+    R = alpha / (alpha + beta) contracts them to the variance
+    ``R**2 * (1 - R)**2 * (1/r1 + 1/r2)``, evaluated at the MLE.  Its
+    standard deviation R(1 - R) * sqrt(1/r1 + 1/r2) is computed as a
+    product rather than as the root of that variance, whose square
+    underflows to 0 once the MLE falls below about 1e-154.  An MLE that
+    rounds to 0 or 1 raises ValueError.
 
     ``"exact"`` inverts the F pivot.  Twice each total time on test over
     its scale is chi-square with twice the observed count as degrees of
@@ -109,7 +95,8 @@ def _intervals(
     r_hat = _mle(r1, z, r2, v)
     inside = (r_hat > 0.0) & (r_hat < 1.0)
     if not inside.all():
-        _check_delta_args(float(r_hat[np.argmin(inside)]), r1, r2)
+        bad = float(r_hat[np.argmin(inside)])
+        raise ValueError(f"r_hat must lie strictly inside (0, 1), got {bad}")
     sigma = r_hat * (1.0 - r_hat) * math.sqrt(1.0 / r1 + 1.0 / r2)
     half = normal_quantile(0.5 * (1.0 + level)) * sigma
     return np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)

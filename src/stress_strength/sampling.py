@@ -1,12 +1,12 @@
-"""Seeded generation of type-II censored exponential samples.
+"""Seeded generation of the totals on test, and the data classes of one
+censored dataset.
 
 A :class:`RngStream` names a reproducible random stream by ``(seed,
-stream_id)``.  Derived sub-streams let the strength and the stress sample
+stream_id)``.  Derived sub-streams let the strength and the stress totals
 consume disjoint randomness.
 
-Two generators are provided.  :func:`draw_dataset` builds one dataset from
-its order statistics.  :func:`draw_totals` draws only the totals on test,
-which is all the estimators and intervals use: the total on test of r
+The estimators and intervals use only the totals on test, so
+:func:`draw_totals` draws those and nothing else: the total on test of r
 observed failures out of n exponential units with scale s is exactly
 s * Gamma(r) (Epstein & Sobel, 1953), whatever n is.  A simulation cell
 seeded with ``seed`` draws its totals from the stream ``RngStream(seed)``:
@@ -18,7 +18,7 @@ not depend on how many it has.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +28,6 @@ __all__ = [
     "ExponentialScales",
     "CensoredSample",
     "StressStrengthData",
-    "draw_exponential_sample",
-    "apply_type2_censoring",
-    "draw_dataset",
     "draw_totals",
 ]
 
@@ -84,34 +81,28 @@ class ExponentialScales:
                 raise ValueError(f"{name} must be a positive finite scale, got {value}")
 
 
-def _total_time_on_test(ordered_times: Sequence[float], total_units: int) -> float:
-    return math.fsum(ordered_times) + (total_units - len(ordered_times)) * ordered_times[-1]
-
-
 @dataclass(frozen=True)
 class CensoredSample:
-    """The first ``observed`` order statistics out of ``total_units`` units.
+    """The observed order statistics out of ``total_units`` units.
 
-    ``ttt`` is the total time on test: the sum of the observed failure times
-    plus the censoring time contributed by every unit still running.
+    ``observed`` is the number of recorded times and ``ttt`` the total time
+    on test: the sum of the observed failure times plus the censoring time
+    contributed by every unit still running.  Both are derived from the
+    times.
     """
 
     ordered_times: tuple[float, ...]
     total_units: int
-    observed: int
-    ttt: float
+    observed: int = field(init=False)
+    ttt: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ordered_times", tuple(float(t) for t in self.ordered_times))
-        times = self.ordered_times
-        if self.observed != len(times) or self.observed < 1:
+        times = tuple(float(t) for t in self.ordered_times)
+        if not times:
+            raise ValueError("at least one observed failure time is required")
+        if self.total_units < len(times):
             raise ValueError(
-                f"observed must equal the number of recorded times (>= 1), "
-                f"got observed={self.observed} with {len(times)} times"
-            )
-        if self.total_units < self.observed:
-            raise ValueError(
-                f"total_units must be >= observed, got {self.total_units} < {self.observed}"
+                f"total_units must be >= observed, got {self.total_units} < {len(times)}"
             )
         for t in times:
             if not (math.isfinite(t) and t > 0.0):
@@ -119,22 +110,15 @@ class CensoredSample:
         for earlier, later in zip(times, times[1:]):
             if later < earlier:
                 raise ValueError("failure times must be nondecreasing")
-        recomputed = _total_time_on_test(times, self.total_units)
-        if not abs(self.ttt - recomputed) <= 1e-9 * max(1.0, abs(recomputed)):
-            raise ValueError(f"ttt={self.ttt} is inconsistent with the times (expected {recomputed})")
+        object.__setattr__(self, "ordered_times", times)
+        object.__setattr__(self, "observed", len(times))
+        ttt = math.fsum(times) + (self.total_units - len(times)) * times[-1]
+        object.__setattr__(self, "ttt", ttt)
 
     @classmethod
     def from_times(cls, times: Sequence[float], total_units: int) -> "CensoredSample":
         """Build a sample from observed failure times, sorting if needed."""
-        ordered = tuple(sorted(float(t) for t in times))
-        if not ordered:
-            raise ValueError("at least one observed failure time is required")
-        return cls(
-            ordered_times=ordered,
-            total_units=total_units,
-            observed=len(ordered),
-            ttt=_total_time_on_test(ordered, total_units),
-        )
+        return cls(sorted(float(t) for t in times), total_units)
 
 
 @dataclass(frozen=True)
@@ -143,64 +127,6 @@ class StressStrengthData:
 
     strength: CensoredSample
     stress: CensoredSample
-
-
-def draw_exponential_sample(scale: float, count: int, rng: RngStream) -> np.ndarray:
-    """Draw ``count`` exponential variates by inverse CDF.
-
-    The inverse-CDF map ``x = -scale * log(1 - u)`` keeps the draws an
-    exact scale family: multiplying ``scale`` by c multiplies each draw by c
-    (up to one rounding), which the tests rely on.
-    """
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    u = rng.generator().random(count)
-    return scale * -np.log1p(-u)
-
-
-def apply_type2_censoring(raw_times: Sequence[float] | np.ndarray, observed: int) -> CensoredSample:
-    """Keep the first ``observed`` order statistics of a complete sample."""
-    total_units = len(raw_times)
-    if not 1 <= observed <= total_units:
-        raise ValueError(
-            f"observed must lie in [1, {total_units}], got {observed}"
-        )
-    ordered = sorted(float(t) for t in raw_times)[:observed]
-    return CensoredSample(
-        ordered_times=tuple(ordered),
-        total_units=total_units,
-        observed=observed,
-        ttt=_total_time_on_test(ordered, total_units),
-    )
-
-
-def draw_dataset(
-    params: ExponentialScales,
-    n: int,
-    m: int,
-    r1: int,
-    r2: int,
-    rng: RngStream,
-) -> StressStrengthData:
-    """Draw one censored stress-strength dataset.
-
-    ``n`` strength units with the first ``r1`` failures observed, ``m``
-    stress units with the first ``r2`` observed.  The two samples consume
-    disjoint sub-streams of ``rng``, so they are independent and each is
-    reproducible on its own.
-    """
-    if not 1 <= r1 <= n:
-        raise ValueError(f"r1 must lie in [1, {n}], got {r1}")
-    if not 1 <= r2 <= m:
-        raise ValueError(f"r2 must lie in [1, {m}], got {r2}")
-    strength_raw = draw_exponential_sample(params.alpha, n, rng.substream(0))
-    stress_raw = draw_exponential_sample(params.beta, m, rng.substream(1))
-    return StressStrengthData(
-        strength=apply_type2_censoring(strength_raw, r1),
-        stress=apply_type2_censoring(stress_raw, r2),
-    )
 
 
 def draw_totals(

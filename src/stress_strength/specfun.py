@@ -176,7 +176,8 @@ def _beta_quantile(p: float, a: float, b: float) -> tuple[float, float]:
     # then exact), so neither is lost to cancellation.  Halley steps use the
     # beta density front / (t (1 - t)); a step that leaves the bracket
     # [lo, hi] kept from the residual signs, or shrinks by less than half,
-    # becomes a bisection step, so the search ends wherever bisection would.
+    # becomes a bisection step (geometric while the bracket is wide), so the
+    # search ends wherever bisection would.
     q = 1.0 - p
     x, y = _beta_guess(p, q, a, b)
     swapped = y < x
@@ -210,7 +211,10 @@ def _beta_quantile(p: float, a: float, b: float) -> tuple[float, float]:
         if lo < new < hi and abs(step) <= 0.5 * abs(previous):
             t = new
             continue
-        new = 0.5 * (lo + hi)
+        # Bisect in log t while the bracket spans more than a factor of 16,
+        # so that a root orders of magnitude below hi is not walked down
+        # to one halving at a time.
+        new = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 and hi > 16.0 * lo else 0.5 * (lo + hi)
         if not lo < new < hi:
             break  # the bracket is down to adjacent floats
         step, t = t - new, new

@@ -6,6 +6,10 @@ posterior mean is estimated from raw gamma draws, by scipy's adaptive
 quadrature in the Beta variable, or by mpmath in 30-digit arithmetic, and
 mpmath integrates the UMVUE the other way round from the estimators.
 
+``draw_dataset`` builds one censored dataset from its order statistics:
+it is the oracle for the library's ``draw_totals``, which draws only the
+totals on test.
+
 ``integrate_1d`` is the adaptive Gauss-Kronrod integrator the estimators
 used before they moved to fixed rules; with the ``*_adaptive_reference``
 integrands it recomputes the earlier results, which the kernels must keep
@@ -20,7 +24,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
@@ -28,7 +32,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special, stats
 
 import stress_strength.simulation as simulation
-from stress_strength import CensoredSample, NonConvergenceError, StressStrengthData
+from stress_strength import (
+    CensoredSample,
+    ExponentialScales,
+    NonConvergenceError,
+    RngStream,
+    StressStrengthData,
+)
 
 
 def kill_worker_on(monkeypatch, dies: Callable[[object], bool]) -> None:
@@ -60,6 +70,58 @@ def data_with_totals(r1: int, r2: int, z_total: float, v_total: float) -> Stress
         strength=sample_with_totals(r1, z_total),
         stress=sample_with_totals(r2, v_total),
     )
+
+
+def draw_exponential_sample(scale: float, count: int, rng: RngStream) -> np.ndarray:
+    """Draw ``count`` exponential variates by inverse CDF.
+
+    The inverse-CDF map ``x = -scale * log(1 - u)`` keeps the draws an
+    exact scale family: multiplying ``scale`` by c multiplies each draw by c
+    (up to one rounding), which the tests rely on.
+    """
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    u = rng.generator().random(count)
+    return scale * -np.log1p(-u)
+
+
+def apply_type2_censoring(raw_times: Sequence[float] | np.ndarray, observed: int) -> CensoredSample:
+    """Keep the first ``observed`` order statistics of a complete sample."""
+    total_units = len(raw_times)
+    if not 1 <= observed <= total_units:
+        raise ValueError(f"observed must lie in [1, {total_units}], got {observed}")
+    return CensoredSample(sorted(float(t) for t in raw_times)[:observed], total_units)
+
+
+def draw_dataset(
+    params: ExponentialScales, n: int, m: int, r1: int, r2: int, rng: RngStream
+) -> StressStrengthData:
+    """Draw one censored stress-strength dataset from its order statistics.
+
+    ``n`` strength units with the first ``r1`` failures observed, ``m``
+    stress units with the first ``r2`` observed.  The two samples consume
+    disjoint sub-streams of ``rng``, so they are independent and each is
+    reproducible on its own.
+    """
+    if not 1 <= r1 <= n:
+        raise ValueError(f"r1 must lie in [1, {n}], got {r1}")
+    if not 1 <= r2 <= m:
+        raise ValueError(f"r2 must lie in [1, {m}], got {r2}")
+    strength_raw = draw_exponential_sample(params.alpha, n, rng.substream(0))
+    stress_raw = draw_exponential_sample(params.beta, m, rng.substream(1))
+    return StressStrengthData(
+        strength=apply_type2_censoring(strength_raw, r1),
+        stress=apply_type2_censoring(stress_raw, r2),
+    )
+
+
+def totals_of(datasets: Sequence[StressStrengthData]) -> tuple[np.ndarray, np.ndarray]:
+    """The strength and stress totals on test (Z, V) of each dataset."""
+    z = np.array([data.strength.ttt for data in datasets])
+    v = np.array([data.stress.ttt for data in datasets])
+    return z, v
 
 
 def spacing_density(t: np.ndarray, observed: int, total: float) -> np.ndarray:

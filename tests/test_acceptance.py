@@ -13,24 +13,24 @@ import sys
 
 import numpy as np
 
-from helpers import posterior_mean_mc_oracle, umvue_region_oracle
+from helpers import (
+    apply_type2_censoring,
+    draw_dataset,
+    posterior_mean_mc_oracle,
+    totals_of,
+    umvue_region_oracle,
+)
 from stress_strength import (
     ExponentialScales,
     GammaPrior,
     RngStream,
     SimCellConfig,
     StressStrengthData,
-    apply_type2_censoring,
-    bayes_noninf_reliability,
-    bayes_reliability,
-    draw_dataset,
-    mle_reliability,
-    mle_scale,
-    posterior_params,
+    estimate_all,
+    estimate_kernel,
     run_cell,
     run_coverage,
     true_reliability,
-    umvue_reliability,
 )
 
 
@@ -60,15 +60,23 @@ def test_criterion_01_exact_reliability_values():
 def test_criterion_02_mle_scale_formula_oracle():
     rng = np.random.default_rng(20)
     worst = 0.0
-    for _ in range(100):
+
+    def sample_and_scale_mle():
         n = int(rng.integers(1, 40))
         r = int(rng.integers(1, n + 1))
         raw = rng.exponential(rng.uniform(0.1, 8.0), size=n)
         sample = apply_type2_censoring(raw, r)
         by_hand = (float(np.sum(sample.ordered_times))
                    + (n - r) * sample.ordered_times[-1]) / r
-        worst = max(worst, abs(mle_scale(sample) - by_hand) / by_hand)
-    _report(2, "scale MLE matches the hand formula on 100 random samples",
+        return sample, by_hand
+
+    for _ in range(50):
+        strength, alpha_hat = sample_and_scale_mle()
+        stress, beta_hat = sample_and_scale_mle()
+        by_hand = alpha_hat / (alpha_hat + beta_hat)
+        value = estimate_all(StressStrengthData(strength, stress)).r1_mle
+        worst = max(worst, abs(value - by_hand) / by_hand)
+    _report(2, "MLE matches the hand formula of the scale MLEs on 100 random samples",
             worst <= 1e-12, f"max rel error {worst:.3e}")
 
 
@@ -77,15 +85,13 @@ def test_criterion_03_umvue_against_region_quadrature():
     worst = 0.0
     for r1 in (2, 3, 5, 8):
         for r2 in (2, 3, 5, 8):
-            for _ in range(5):
-                z = float(rng.uniform(0.5, 12.0))
-                v = float(rng.uniform(0.5, 12.0))
-                strength = apply_type2_censoring([z / r1] * r1, r1)
-                stress = apply_type2_censoring([v / r2] * r2, r2)
-                data = StressStrengthData(strength, stress)
-                value = umvue_reliability(data)
-                oracle = umvue_region_oracle(r1, r2, strength.ttt, stress.ttt)
-                worst = max(worst, abs(value - oracle))
+            z, v = np.empty(5), np.empty(5)
+            for i in range(5):
+                z[i] = rng.uniform(0.5, 12.0)
+                v[i] = rng.uniform(0.5, 12.0)
+            values = estimate_kernel(r1, z, r2, v)[:, 1]
+            for value, zi, vi in zip(values, z, v):
+                worst = max(worst, abs(value - umvue_region_oracle(r1, r2, zi, vi)))
     _report(3, "UMVUE equals 2-D region quadrature on 80 configurations",
             worst <= 1e-8, f"max abs error {worst:.3e}")
 
@@ -94,10 +100,9 @@ def test_criterion_04_umvue_unbiasedness():
     params = ExponentialScales(2.0, 3.0)
     target = true_reliability(params)
     replicates = 2 * 10**4
-    values = np.empty(replicates)
-    for i in range(replicates):
-        data = draw_dataset(params, 10, 10, 8, 8, RngStream(400, i))
-        values[i] = umvue_reliability(data)
+    z, v = totals_of([draw_dataset(params, 10, 10, 8, 8, RngStream(400, i))
+                      for i in range(replicates)])
+    values = estimate_kernel(8, z, 8, v)[:, 1]
     stderr = values.std(ddof=1) / np.sqrt(replicates)
     gap = abs(values.mean() - target)
     _report(4, "UMVUE mean sits within 3 MC stderr of the true value",
@@ -110,28 +115,26 @@ def test_criterion_05_bayes_quadrature_vs_posterior_sampling():
         (GammaPrior(2.0, 1.5), GammaPrior(1.0, 0.5)),
         (GammaPrior(5.0, 4.0), GammaPrior(3.0, 2.0)),
     ]
+    z, v = totals_of([draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 8, 8, RngStream(500, d))
+                      for d in range(3)])
+    noninf = estimate_kernel(8, z, 8, v)[:, 3]
+    conjugate = [estimate_kernel(8, z, 8, v, *prior)[:, 2] for prior in priors]
     ok = True
     worst_sigmas = 0.0
     for d in range(3):
-        data = draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 8, 8, RngStream(500, d))
-        noninf = bayes_noninf_reliability(data)
-        mc, se = posterior_mean_mc_oracle(
-            data.strength.observed, data.strength.ttt,
-            data.stress.observed, data.stress.ttt,
-            draws=10**7, seed=5000 + d,
-        )
-        sigmas = abs(noninf - mc) / se
+        mc, se = posterior_mean_mc_oracle(8, z[d], 8, v[d], draws=10**7, seed=5000 + d)
+        sigmas = abs(noninf[d] - mc) / se
         worst_sigmas = max(worst_sigmas, sigmas)
         ok = ok and sigmas <= 3.0
         for p, (prior_strength, prior_stress) in enumerate(priors):
-            value = bayes_reliability(data, prior_strength, prior_stress)
-            post1 = posterior_params(prior_strength, data.strength)
-            post2 = posterior_params(prior_stress, data.stress)
+            # The conjugate update adds the observed count to the shape and
+            # the total on test to the scale.
             mc, se = posterior_mean_mc_oracle(
-                post1.shape, post1.scale_total, post2.shape, post2.scale_total,
+                prior_strength.shape_u + 8, prior_strength.scale_v + z[d],
+                prior_stress.shape_u + 8, prior_stress.scale_v + v[d],
                 draws=10**7, seed=5100 + 10 * d + p,
             )
-            sigmas = abs(value - mc) / se
+            sigmas = abs(conjugate[p][d] - mc) / se
             worst_sigmas = max(worst_sigmas, sigmas)
             ok = ok and sigmas <= 3.0
     _report(5, "Bayes quadratures match 1e7-draw posterior sampling",
@@ -174,10 +177,9 @@ def test_criterion_08_mle_consistency():
     variances = []
     biases = []
     for r, seed in ((5, 801), (20, 802), (80, 803)):
-        values = np.empty(10**4)
-        for i in range(10**4):
-            data = draw_dataset(params, r, r, r, r, RngStream(seed, i))
-            values[i] = mle_reliability(data)
+        z, v = totals_of([draw_dataset(params, r, r, r, r, RngStream(seed, i))
+                          for i in range(10**4)])
+        values = estimate_kernel(r, z, r, v)[:, 0]
         variances.append(values.var(ddof=1))
         biases.append(abs(values.mean() - target))
     ok = (variances[0] > variances[1] > variances[2]

@@ -144,11 +144,14 @@ class TestParseManifest:
             parse_manifest(command)
 
     def test_negative_prior_is_a_usage_error(self):
-        with pytest.raises(UsageError, match="--prior-strength"):
-            parse_manifest([
-                "estimate", "--strength", "a.csv", "--stress", "b.csv",
-                "--n", "5", "--m", "5", "--prior-strength", "-1", "0.5",
-            ])
+        for flag, pair, field in (("--prior-strength", ["-1", "0.5"], "shape_u"),
+                                  ("--prior-stress", ["2", "nan"], "scale_v"),
+                                  ("--prior-strength", ["nan", "1"], "shape_u")):
+            with pytest.raises(UsageError, match=f"{flag}: {field} must be finite and nonnegative"):
+                parse_manifest([
+                    "estimate", "--strength", "a.csv", "--stress", "b.csv",
+                    "--n", "5", "--m", "5", flag, *pair,
+                ])
 
 
 class TestEstimateCommand:

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_type2_censoring,
     data_with_totals,
+    draw_dataset,
     posterior_mean_adaptive_reference,
     posterior_mean_mc_oracle,
     posterior_mean_mp_oracle,
     posterior_mean_quad_oracle,
+    totals_of,
     umvue_adaptive_reference,
     umvue_mp_oracle,
     umvue_region_oracle,
@@ -24,37 +27,26 @@ from stress_strength import (
     ExponentialScales,
     GammaPrior,
     NonConvergenceError,
-    PosteriorParams,
     RngStream,
     StressStrengthData,
-    apply_type2_censoring,
-    bayes_noninf_reliability,
-    bayes_reliability,
-    draw_dataset,
-    draw_exponential_sample,
     estimate_all,
     estimate_kernel,
-    mle_reliability,
-    mle_scale,
-    posterior_params,
     true_reliability,
-    umvue_reliability,
 )
-from stress_strength.estimators import (
-    _posterior_mean_reliability,
-    _posterior_means,
-    _umvue,
-    _umvue_branch,
-    _unit_rule,
-)
+from stress_strength.estimators import _posterior_means, _umvue, _umvue_branch, _unit_rule
 
 
 def umvue_batch(r1, z, r2, v):
     return _umvue(r1, np.asarray(z, dtype=float), r2, np.asarray(v, dtype=float))
 
 
+def r2_umvue(r1, z, r2, v):
+    """R2 for one pair of totals on test, through the public kernel."""
+    return float(estimate_kernel(r1, [z], r2, [v])[0, 1])
+
+
 def posterior_mean(a1, zeta, a2, tau):
-    return _posterior_mean_reliability(PosteriorParams(a1, zeta), PosteriorParams(a2, tau))
+    return float(_posterior_means(a1, np.array([zeta]), a2, np.array([tau]))[0])
 
 
 class TestTrueReliability:
@@ -73,32 +65,48 @@ class TestTrueReliability:
 
 
 class TestMleScale:
+    # The scale MLE, total on test over observed count, reaches the caller
+    # through R1 = alpha_hat / (alpha_hat + beta_hat).
     def test_hand_evaluated_censored_sample(self):
-        # Observed 0.5, 1.0, 1.5 out of five units: ttt = 3 + 2 * 1.5 = 6.
+        # Observed 0.5, 1.0, 1.5 out of five units: ttt = 3 + 2 * 1.5 = 6,
+        # so the strength MLE is 2; against a stress MLE of 3, R1 = 0.4.
         sample = CensoredSample.from_times([0.5, 1.0, 1.5], total_units=5)
-        assert mle_scale(sample) == pytest.approx(2.0, abs=1e-15)
+        data = StressStrengthData(sample, CensoredSample.from_times([3.0], total_units=1))
+        assert estimate_all(data).r1_mle == pytest.approx(0.4, abs=1e-15)
 
     def test_complete_sample_reduces_to_mean(self):
-        times = [0.2, 0.9, 1.4, 2.7]
-        sample = apply_type2_censoring(times, observed=4)
-        assert mle_scale(sample) == pytest.approx(np.mean(times), rel=1e-15)
+        x, y = [0.2, 0.9, 1.4, 2.7], [1.1, 0.3, 2.5]
+        data = StressStrengthData(apply_type2_censoring(x, 4), apply_type2_censoring(y, 3))
+        by_hand = np.mean(x) / (np.mean(x) + np.mean(y))
+        assert estimate_all(data).r1_mle == pytest.approx(by_hand, rel=1e-15)
 
     def test_matches_hand_formula_on_random_samples(self):
         rng = np.random.default_rng(19)
-        for _ in range(25):
+
+        def sample_and_scale_mle():
             n = int(rng.integers(1, 30))
             r = int(rng.integers(1, n + 1))
             raw = rng.exponential(rng.uniform(0.1, 10.0), size=n)
             sample = apply_type2_censoring(raw, r)
             by_hand = (float(np.sum(sample.ordered_times))
                        + (n - r) * sample.ordered_times[-1]) / r
-            assert mle_scale(sample) == pytest.approx(by_hand, rel=1e-12)
+            return sample, by_hand
+
+        for _ in range(25):
+            strength, alpha_hat = sample_and_scale_mle()
+            stress, beta_hat = sample_and_scale_mle()
+            value = estimate_all(StressStrengthData(strength, stress)).r1_mle
+            assert value == pytest.approx(alpha_hat / (alpha_hat + beta_hat), rel=1e-12)
 
     def test_scale_equivariance_power_of_two(self):
         raw = [0.3, 1.7, 0.9, 2.2, 4.1]
-        base = mle_scale(apply_type2_censoring(raw, 3))
-        doubled = mle_scale(apply_type2_censoring([2.0 * t for t in raw], 3))
-        assert doubled == 2.0 * base
+        base = apply_type2_censoring(raw, 3)
+        doubled = apply_type2_censoring([2.0 * t for t in raw], 3)
+        assert doubled.ttt == 2.0 * base.ttt
+        stress = apply_type2_censoring([1.2, 0.4], 2)
+        both_doubled = apply_type2_censoring([2.4, 0.8], 2)
+        assert (estimate_all(StressStrengthData(doubled, both_doubled)).r1_mle
+                == estimate_all(StressStrengthData(base, stress)).r1_mle)
 
 
 class TestMleReliability:
@@ -108,73 +116,61 @@ class TestMleReliability:
             strength=CensoredSample.from_times([2.0], total_units=1),
             stress=CensoredSample.from_times([3.0], total_units=1),
         )
-        assert mle_reliability(data) == pytest.approx(0.4, abs=1e-15)
+        assert estimate_all(data).r1_mle == pytest.approx(0.4, abs=1e-15)
 
     def test_symmetric_data_gives_half(self):
         data = data_with_totals(4, 4, 5.0, 5.0)
-        assert mle_reliability(data) == 0.5
+        assert estimate_all(data).r1_mle == 0.5
 
     def test_always_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(3)
-        for i in range(50):
-            data = draw_dataset(ExponentialScales(0.5, 7.0), 6, 9, 4, 3, RngStream(8, i))
-            assert 0.0 < mle_reliability(data) < 1.0
+        z, v = totals_of([draw_dataset(ExponentialScales(0.5, 7.0), 6, 9, 4, 3, RngStream(8, i))
+                          for i in range(50)])
+        r1_mle = estimate_kernel(4, z, 3, v)[:, 0]
+        assert ((0.0 < r1_mle) & (r1_mle < 1.0)).all()
 
 
 class TestUmvueReliability:
     def test_single_observation_each_is_the_indicator(self):
-        assert umvue_reliability(data_with_totals(1, 1, 3.0, 2.0)) == 1.0
-        assert umvue_reliability(data_with_totals(1, 1, 2.0, 3.0)) == 0.0
+        assert r2_umvue(1, 3.0, 1, 2.0) == 1.0
+        assert r2_umvue(1, 2.0, 1, 3.0) == 0.0
 
     def test_single_strength_observation_closed_form(self):
         # P(v1 < Z | V) = 1 - (1 - Z/V)^(r2-1) when Z < V.
-        data = data_with_totals(1, 3, 2.0, 6.0)
-        assert umvue_reliability(data) == pytest.approx(1.0 - (1.0 - 2.0 / 6.0) ** 2, abs=1e-12)
-        assert umvue_reliability(data_with_totals(1, 3, 7.0, 6.0)) == 1.0
+        assert r2_umvue(1, 2.0, 3, 6.0) == pytest.approx(1.0 - (1.0 - 2.0 / 6.0) ** 2, abs=1e-12)
+        assert r2_umvue(1, 7.0, 3, 6.0) == 1.0
 
     def test_single_stress_observation_closed_form(self):
         # P(V < z1 | Z) = (1 - V/Z)^(r1-1) when V < Z.
-        data = data_with_totals(4, 1, 8.0, 2.0)
-        assert umvue_reliability(data) == pytest.approx((1.0 - 2.0 / 8.0) ** 3, abs=1e-12)
-        assert umvue_reliability(data_with_totals(4, 1, 2.0, 8.0)) == 0.0
+        assert r2_umvue(4, 8.0, 1, 2.0) == pytest.approx((1.0 - 2.0 / 8.0) ** 3, abs=1e-12)
+        assert r2_umvue(4, 2.0, 1, 8.0) == 0.0
 
     def test_symmetric_totals_give_half(self):
-        data = data_with_totals(5, 5, 3.7, 3.7)
-        assert umvue_reliability(data) == pytest.approx(0.5, abs=1e-8)
+        assert r2_umvue(5, 3.7, 5, 3.7) == pytest.approx(0.5, abs=1e-8)
 
     def test_matches_region_quadrature_oracle(self):
-        data = data_with_totals(3, 3, 6.0, 4.0)
-        z, v = data.strength.ttt, data.stress.ttt
-        assert umvue_reliability(data) == pytest.approx(
-            umvue_region_oracle(3, 3, z, v), abs=1e-8
+        assert r2_umvue(3, 6.0, 3, 4.0) == pytest.approx(
+            umvue_region_oracle(3, 3, 6.0, 4.0), abs=1e-8
         )
 
     @settings(max_examples=40, deadline=None)
     @given(factor=st.floats(0.01, 100.0))
     def test_invariant_under_joint_rescaling(self, factor):
-        base = data_with_totals(4, 6, 5.0, 3.0)
-        scaled = data_with_totals(4, 6, factor * 5.0, factor * 3.0)
-        assert umvue_reliability(scaled) == pytest.approx(
-            umvue_reliability(base), abs=1e-8
+        assert r2_umvue(4, factor * 5.0, 6, factor * 3.0) == pytest.approx(
+            r2_umvue(4, 5.0, 6, 3.0), abs=1e-8
         )
 
     def test_bounded_even_for_extreme_totals(self):
-        assert 0.0 <= umvue_reliability(data_with_totals(2, 2, 1e-6, 1e6)) <= 1.0
-        assert 0.0 <= umvue_reliability(data_with_totals(2, 2, 1e6, 1e-6)) <= 1.0
+        values = estimate_kernel(2, [1e-6, 1e6], 2, [1e6, 1e-6])[:, 1]
+        assert ((0.0 <= values) & (values <= 1.0)).all()
 
 
-class TestPosteriorParams:
-    def test_noninformative_update(self):
-        sample = CensoredSample.from_times([0.5, 1.0, 1.5], total_units=5)
-        post = posterior_params(NONINFORMATIVE, sample)
-        assert post.shape == 3.0
-        assert post.scale_total == pytest.approx(sample.ttt, abs=0.0)
-
-    def test_informative_update_adds_hyperparameters(self):
-        sample = CensoredSample.from_times([1.0, 1.0, 1.0], total_units=4)
-        post = posterior_params(GammaPrior(2.0, 1.0), sample)
-        assert post.shape == 5.0
-        assert post.scale_total == pytest.approx(1.0 + sample.ttt, abs=0.0)
+class TestGammaPrior:
+    def test_conjugate_update_adds_hyperparameters(self):
+        # Prior (2, 1) on 3 strength failures with total 3 is the posterior
+        # of 5 failures with total 4; prior (1, 0.5) on 2 stress failures
+        # with total 2.5 that of 3 failures with total 3.
+        r3 = estimate_kernel(3, [3.0], 2, [2.5], GammaPrior(2.0, 1.0), GammaPrior(1.0, 0.5))[0, 2]
+        assert r3 == estimate_kernel(5, [4.0], 3, [3.0])[0, 3]
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
@@ -182,37 +178,31 @@ class TestPosteriorParams:
         with pytest.raises(ValueError):
             GammaPrior(0.0, math.inf)
         with pytest.raises(ValueError):
-            PosteriorParams(0.0, 1.0)
+            GammaPrior(math.nan, 1.0)
 
 
 class TestBayesReliability:
     def test_matched_posteriors_give_half(self):
-        value = _posterior_mean_reliability(
-            PosteriorParams(6.0, 4.0), PosteriorParams(6.0, 4.0)
-        )
-        assert value == pytest.approx(0.5, abs=1e-10)
+        assert posterior_mean(6.0, 4.0, 6.0, 4.0) == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_monte_carlo_posterior_oracle(self):
-        value = _posterior_mean_reliability(
-            PosteriorParams(4.0, 8.0), PosteriorParams(3.0, 6.0)
-        )
+        value = posterior_mean(4.0, 8.0, 3.0, 6.0)
         mc, se = posterior_mean_mc_oracle(4.0, 8.0, 3.0, 6.0, draws=10**6, seed=11)
         assert abs(value - mc) <= 4.0 * se
 
     def test_huge_stress_total_drives_estimate_to_zero(self):
-        value = _posterior_mean_reliability(
-            PosteriorParams(5.0, 3.0), PosteriorParams(5.0, 3e6)
-        )
+        value = posterior_mean(5.0, 3.0, 5.0, 3e6)
         assert 0.0 < value < 0.01
 
     def test_noninformative_prior_reduces_to_r4(self):
         data = draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 7, 7, RngStream(2, 0))
-        assert bayes_reliability(data, NONINFORMATIVE, NONINFORMATIVE) == bayes_noninf_reliability(data)
+        estimates = estimate_all(data, GammaPrior(0.0, 0.0), GammaPrior(0.0, 0.0))
+        assert estimates.r3_bayes_conjugate == estimates.r4_bayes_noninf
 
     def test_prior_scale_mass_pulls_estimate_up(self):
         data = draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 7, 7, RngStream(2, 1))
-        weak = bayes_reliability(data, GammaPrior(1.0, 0.1), NONINFORMATIVE)
-        strong = bayes_reliability(data, GammaPrior(1.0, 50.0), NONINFORMATIVE)
+        weak = estimate_all(data, GammaPrior(1.0, 0.1), NONINFORMATIVE).r3_bayes_conjugate
+        strong = estimate_all(data, GammaPrior(1.0, 50.0), NONINFORMATIVE).r3_bayes_conjugate
         assert strong > weak
 
 
@@ -359,14 +349,14 @@ class TestPosteriorMeanKernel:
             (GammaPrior(2.0, 1.5), GammaPrior(1.0, 0.5)),
             (GammaPrior(5.0, 4.0), GammaPrior(3.0, 2.0)),
         ]
-        for d in range(3):
-            data = draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 8, 8, RngStream(500, d))
-            for prior_strength, prior_stress in priors:
-                post1 = posterior_params(prior_strength, data.strength)
-                post2 = posterior_params(prior_stress, data.stress)
+        z, v = totals_of([draw_dataset(ExponentialScales(2.0, 3.0), 10, 10, 8, 8,
+                                       RngStream(500, d)) for d in range(3)])
+        for prior_strength, prior_stress in priors:
+            values = estimate_kernel(8, z, 8, v, prior_strength, prior_stress)[:, 2]
+            for value, zeta, tau in zip(values, prior_strength.scale_v + z,
+                                        prior_stress.scale_v + v):
                 reference = posterior_mean_adaptive_reference(
-                    post1.shape, post1.scale_total, post2.shape, post2.scale_total)
-                value = bayes_reliability(data, prior_strength, prior_stress)
+                    prior_strength.shape_u + 8, zeta, prior_stress.shape_u + 8, tau)
                 assert abs(value - reference) <= 1e-10
 
     def test_small_shapes_take_larger_rules(self):

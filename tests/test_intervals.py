@@ -2,37 +2,49 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import data_with_totals
+from helpers import data_with_totals, draw_dataset, totals_of
 from stress_strength import (
     METHODS,
     ExponentialScales,
     IntervalEstimate,
     RngStream,
     asymptotic_ci,
-    draw_dataset,
+    estimate_all,
     exact_ci,
-    delta_variance,
     interval_kernel,
-    mle_reliability,
     true_reliability,
 )
 from stress_strength.specfun import normal_quantile
 
 
+def asymptotic_half_width(r1, z, r2, v, level=0.95):
+    lower, upper = interval_kernel("asymptotic", r1, [z], r2, [v], level)
+    return 0.5 * float(upper[0] - lower[0])
+
+
 class TestDeltaVariance:
+    # The delta-method variance R**2 (1 - R)**2 (1/r1 + 1/r2) reaches the
+    # caller as the asymptotic interval's half-width, z_(1+level)/2 * sd.
     def test_hand_evaluated_value(self):
-        # 0.25 * 0.25 * (1/8 + 1/8) = 0.015625.
-        assert delta_variance(0.5, 8, 8) == pytest.approx(0.015625, abs=0.0)
+        # R = 0.5 and r1 = r2 = 8: 0.25 * 0.25 * (1/8 + 1/8) = 0.015625.
+        (lower,), (upper,) = interval_kernel("asymptotic", 8, [3.0], 8, [3.0], 0.95)
+        assert upper == 0.5 + normal_quantile(0.975) * math.sqrt(0.015625)
+        assert lower == 0.5 - normal_quantile(0.975) * math.sqrt(0.015625)
 
     def test_doubling_counts_halves_variance(self):
-        assert delta_variance(0.3, 10, 20) == 2.0 * delta_variance(0.3, 20, 40)
+        # Totals 3r and 7r keep the MLE at 0.3.
+        wide = asymptotic_half_width(10, 30.0, 20, 140.0)
+        narrow = asymptotic_half_width(20, 60.0, 40, 280.0)
+        assert wide == pytest.approx(math.sqrt(2.0) * narrow, rel=1e-12)
 
     def test_matches_finite_difference_propagation(self):
         # Rebuild the variance from a numerical gradient of a/(a+b) and the
-        # inverse-information variances a^2/r1 and b^2/r2.
+        # inverse-information variances a^2/r1 and b^2/r2; totals 2 r1 and
+        # 3 r2 put the scale MLEs at a and b.
         a, b, r1, r2 = 2.0, 3.0, 7, 11
         h = 1e-6
 
@@ -42,23 +54,27 @@ class TestDeltaVariance:
         grad_a = (ratio(a + h, b) - ratio(a - h, b)) / (2.0 * h)
         grad_b = (ratio(a, b + h) - ratio(a, b - h)) / (2.0 * h)
         propagated = grad_a**2 * a**2 / r1 + grad_b**2 * b**2 / r2
-        assert delta_variance(ratio(a, b), r1, r2) == pytest.approx(propagated, rel=1e-6)
+        interval = asymptotic_ci(data_with_totals(r1, r2, a * r1, b * r2), level=0.95)
+        half_width = 0.5 * (interval.upper - interval.lower)
+        assert half_width == pytest.approx(
+            scipy.stats.norm.ppf(0.975) * math.sqrt(propagated), rel=1e-6)
 
     def test_rejects_degenerate_arguments(self):
+        # MLEs that round to 0 and to 1, and a zero count.
+        with pytest.raises(ValueError, match="r_hat"):
+            interval_kernel("asymptotic", 5, [5e-324], 5, [1.0], 0.95)
+        with pytest.raises(ValueError, match="r_hat"):
+            interval_kernel("asymptotic", 5, [1.0], 5, [5e-324], 0.95)
         with pytest.raises(ValueError):
-            delta_variance(0.0, 5, 5)
-        with pytest.raises(ValueError):
-            delta_variance(1.0, 5, 5)
-        with pytest.raises(ValueError):
-            delta_variance(0.5, 0, 5)
+            interval_kernel("asymptotic", 0, [1.0], 5, [1.0], 0.95)
 
 
 class TestAsymptoticCi:
     def test_contains_mle_with_expected_width(self):
         data = draw_dataset(ExponentialScales(2.0, 3.0), 12, 12, 9, 9, RngStream(31, 0))
         interval = asymptotic_ci(data, level=0.95)
-        r_hat = mle_reliability(data)
-        sigma = math.sqrt(delta_variance(r_hat, 9, 9))
+        r_hat = estimate_all(data).r1_mle
+        sigma = math.sqrt(r_hat**2 * (1.0 - r_hat) ** 2 * (1.0 / 9 + 1.0 / 9))
         z = normal_quantile(0.975)
         assert interval.lower < r_hat < interval.upper
         assert interval.upper - interval.lower == pytest.approx(2.0 * z * sigma, rel=1e-12)
@@ -83,8 +99,8 @@ class TestAsymptoticCi:
     def test_positive_width_where_the_variance_underflows(self):
         # r_hat = 1e-168: its delta variance, about 2e-336, underflows to 0.
         data = data_with_totals(1, 1, 1e-168, 1.0)
-        r_hat = mle_reliability(data)
-        assert delta_variance(r_hat, 1, 1) == 0.0
+        r_hat = 1e-168 / (1e-168 + 1.0)
+        assert r_hat**2 * (1.0 - r_hat) ** 2 * 2.0 == 0.0
         interval = asymptotic_ci(data, level=0.95)
         half_width = normal_quantile(0.975) * r_hat * (1.0 - r_hat) * math.sqrt(2.0)
         assert interval.lower == 0.0
@@ -134,26 +150,22 @@ class TestExactCi:
     def test_coverage_matches_nominal_level(self):
         params = ExponentialScales(2.0, 3.0)
         target = true_reliability(params)
-        hits = 0
-        reps = 2000
-        for i in range(reps):
-            data = draw_dataset(params, 10, 10, 8, 8, RngStream(9001, i))
-            interval = exact_ci(data, level=0.95)
-            hits += interval.lower <= target <= interval.upper
-        assert abs(hits / reps - 0.95) <= 0.02
+        z, v = totals_of([draw_dataset(params, 10, 10, 8, 8, RngStream(9001, i))
+                          for i in range(2000)])
+        lower, upper = interval_kernel("exact", 8, z, 8, v, 0.95)
+        coverage = np.mean((lower <= target) & (target <= upper))
+        assert abs(coverage - 0.95) <= 0.02
 
     def test_asymptotic_coverage_is_close_at_moderate_sizes(self):
         # The normal interval undercovers a little at r = 8; keep a loose
         # band so this asserts sanity without pinning the approximation error.
         params = ExponentialScales(2.0, 3.0)
         target = true_reliability(params)
-        hits = 0
-        reps = 2000
-        for i in range(reps):
-            data = draw_dataset(params, 10, 10, 8, 8, RngStream(9002, i))
-            interval = asymptotic_ci(data, level=0.95)
-            hits += interval.lower <= target <= interval.upper
-        assert 0.85 <= hits / reps <= 0.99
+        z, v = totals_of([draw_dataset(params, 10, 10, 8, 8, RngStream(9002, i))
+                          for i in range(2000)])
+        lower, upper = interval_kernel("asymptotic", 8, z, 8, v, 0.95)
+        coverage = np.mean((lower <= target) & (target <= upper))
+        assert 0.85 <= coverage <= 0.99
 
 
 class TestIntervalKernel:
@@ -164,8 +176,8 @@ class TestIntervalKernel:
         datasets = [draw_dataset(params, 9, 12, 7, 4, RngStream(77, i)) for i in range(200)]
         datasets.append(data_with_totals(7, 4, 1e-160, 1.0))
         datasets.append(data_with_totals(7, 4, 1e6, 1e-6))
-        lower, upper = interval_kernel(method, 7, [d.strength.ttt for d in datasets],
-                                       4, [d.stress.ttt for d in datasets], level)
+        z, v = totals_of(datasets)
+        lower, upper = interval_kernel(method, 7, z, 4, v, level)
         for i, data in enumerate(datasets):
             interval = ci(data, level)
             assert (interval.lower, interval.upper) == (lower[i], upper[i])

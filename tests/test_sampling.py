@@ -1,4 +1,8 @@
-"""Sampling: stream determinism, censoring arithmetic, and distribution checks."""
+"""Sampling: stream determinism, censoring arithmetic, and distribution checks.
+
+The order-statistic generator (``draw_dataset`` and its parts) lives in
+the test helpers as the oracle for ``draw_totals``; it is checked here too.
+"""
 
 import math
 
@@ -8,15 +12,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stress_strength import (
-    CensoredSample,
-    ExponentialScales,
-    RngStream,
-    apply_type2_censoring,
-    draw_dataset,
-    draw_exponential_sample,
-    draw_totals,
-)
+from helpers import apply_type2_censoring, draw_dataset, draw_exponential_sample
+from stress_strength import CensoredSample, ExponentialScales, RngStream, draw_totals
 
 
 class TestRngStream:
@@ -140,17 +137,21 @@ class TestCensoredSample:
         ) * sample.ordered_times[-1]
         assert sample.ttt == pytest.approx(recomputed, rel=1e-12)
 
-    def test_rejects_inconsistent_ttt(self):
-        with pytest.raises(ValueError):
+    def test_observed_and_ttt_are_derived(self):
+        sample = CensoredSample(ordered_times=(1.0, 2.0), total_units=5)
+        assert (sample.observed, sample.ttt) == (2, 9.0)
+        assert sample == CensoredSample.from_times([2.0, 1.0], total_units=5)
+        with pytest.raises(TypeError):
             CensoredSample(ordered_times=(1.0, 2.0), total_units=2, observed=2, ttt=10.0)
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
-            CensoredSample(ordered_times=(2.0, 1.0), total_units=2, observed=2, ttt=3.0)
+            CensoredSample(ordered_times=(2.0, 1.0), total_units=2)
 
-    def test_rejects_observed_count_mismatch(self):
+    @pytest.mark.parametrize("times,total_units", [((), 3), ((1.0, 2.0), 1), ((0.0, 1.0), 2)])
+    def test_rejects_empty_overfull_or_nonpositive(self, times, total_units):
         with pytest.raises(ValueError):
-            CensoredSample(ordered_times=(1.0, 2.0), total_units=5, observed=3, ttt=9.0)
+            CensoredSample(ordered_times=times, total_units=total_units)
 
 
 class TestExponentialScales:

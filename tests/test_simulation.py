@@ -74,10 +74,15 @@ class TestSimCellConfig:
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 6, 3)
         with pytest.raises(ValueError):
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 0)
+        for counts in ((5.0, 5, 3, 3), (5, 5.5, 3, 3), (5, 5, 2.5, 3), (5, 5, 3, 3.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SimCellConfig(ExponentialScales(1.0, 1.0), *counts)
 
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, replicates=0)
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, replicates=50.0)
         with pytest.raises(ValueError):
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, seed=-1)
         with pytest.raises(ValueError):

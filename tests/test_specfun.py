@@ -200,6 +200,26 @@ class TestFQuantile:
                     expected = scipy.stats.f.ppf(p, d1, d2)
                     assert abs(f_quantile(p, d1, d2) - expected) <= 1e-10 * expected
 
+    def test_evaluations_stay_few_over_wide_grid(self, monkeypatch):
+        # Far lower tails, such as p = 1e-10 at d1 = 3, put the root many
+        # decades below the bracket's upper end; bisecting in log t keeps
+        # the search short there.
+        real_tails = specfun._beta_tails
+        calls = []
+        monkeypatch.setattr(specfun, "_beta_tails",
+                            lambda a, b, x: calls.append(x) or real_tails(a, b, x))
+        dfs = [1.0, 2.0, 3.0, 8.0, 40.0, 120.0, 400.0, 2000.0]
+        worst = (0, None)
+        for p in [1e-10, 1e-6, 0.005, 0.1, 0.5, 0.9, 0.995, 1.0 - 1e-6]:
+            for d1 in dfs:
+                for d2 in dfs:
+                    f_quantile.cache_clear()
+                    calls.clear()
+                    f_quantile(p, d1, d2)
+                    worst = max(worst, (len(calls), (p, d1, d2)))
+        f_quantile.cache_clear()
+        assert worst[0] <= 16, worst
+
     @pytest.fixture
     def cold_quantiles(self):
         f_quantile.cache_clear()
