@@ -17,10 +17,10 @@ strength and stress samples.  Four estimators are provided:
 
 :func:`estimate_kernel` evaluates all four over many pairs of totals
 (Z, V) at once, and :func:`estimate_all` is its length-1 case for one
-dataset.  Both integrals use fixed Gauss-Legendre rules whose sizes are
-powers of two, built on first use and memoised in :func:`_unit_rule`; the
-kernel's docstring derives each integral and says why its rule is exact
-or how it is guarded.
+dataset.  The UMVUE uses a Gauss-Legendre rule memoised in
+:func:`_unit_rule`, the posterior means trapezoidal rules in the log-odds;
+the kernel's docstring derives each integral and says why its rule is
+exact or how it is guarded.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ _CHUNK_ELEMENTS = 4096
 # The UMVUE drops the nodes of its rule where the spacing density is below
 # exp(_UMVUE_LOG_TRIM) = 2**-60; together they weigh at most that.
 _UMVUE_LOG_TRIM = -60.0 * math.log(2.0)
-# Posterior means: the smaller rule of the first pair, the largest rule, and
-# the agreement between a rule and its double that accepts a value.
-_BAYES_FIRST_NODES = 128
-_BAYES_MAX_NODES = 4096
+# Posterior means: rule 1's step in units of min(1, sd), the most nodes a
+# rule may have, and the agreement with the rule of twice the step.
+_BAYES_STEP = 0.2
+_BAYES_NODE_BUDGET = 4096
 _BAYES_AGREEMENT = 1e-12
 # Truncation of the log-odds weight on each side of its mode: this many
 # standard deviations, or this many multiples of 1/shape, whichever is
@@ -189,88 +189,75 @@ def _umvue(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
 
-@lru_cache(maxsize=None)
-def _side_rules(ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The k/2-point rules on [0, 1] for each k in ``ks``, side by side:
-    nodes, log-weights, and the column where each rule starts (plus the
-    end)."""
-    rules = [_unit_rule(k // 2) for k in ks]
-    starts = np.cumsum([0] + [k // 2 for k in ks])
-    nodes = np.concatenate([s for s, _ in rules])
-    log_weights = np.log(np.concatenate([w for _, w in rules]))
-    return nodes, log_weights, tuple(starts.tolist())
-
-
-# Which way the log-odds moves from the mode on each half of its range.
-_HALF_SIGNS = np.array([[1.0], [-1.0]])
-
-
-def _posterior_mean_rules(
-    a1: float, a2: float, offset: np.ndarray, ks: tuple[int, ...]
-) -> np.ndarray:
-    # Posterior means by each rule in ks, for shapes a1, a2 shared by every
-    # value and offset[i] = log(a1/a2) + log(tau[i]/zeta[i]), the argument
-    # of the logistic at the mode.  Every rule puts k/2 nodes on each half
-    # of the range.
-    s, log_w, starts = _side_rules(ks)
-    rate = np.array([[a1], [a2]])  # the tail rate below / above the mode
-    # The sd of y is sqrt(trigamma(a1) + trigamma(a2)); trigamma(a) < 1/a + 1/a**2.
-    sd = math.sqrt(1.0 / a1 + 1.0 / a1**2 + 1.0 / a2 + 1.0 / a2**2)
-    width = np.maximum(_TAIL_SDS * sd, _TAIL_SHAPE_WIDTH / rate)
-    neg_depth = -width * s  # minus the distance from the mode, per half
-    # The weight times the node weights, relative to the weight's peak.
-    total = a1 + a2
-    weight = np.exp(rate * neg_depth - total * np.log1p(rate / total * np.expm1(neg_depth)) + log_w)
-    weight *= width  # the Jacobian of each half
-    signed_depth = _HALF_SIGNS * neg_depth
-    out = np.empty((len(ks), offset.size))
-    per = max(1, _CHUNK_ELEMENTS // (2 * s.size))
-    for lo in range(0, offset.size, per):
-        part = slice(lo, lo + per)
-        # 1 + exp(y + log(tau/zeta)); capping the exponent at 700 avoids
-        # overflow and changes R = 1/that only where R is below 1e-304.
-        x = offset[part, None, None] + signed_depth
-        np.minimum(x, 700.0, out=x)
-        np.exp(x, out=x)
+def _weighted_sums(
+    scale: np.ndarray, grow: np.ndarray, weight: np.ndarray, split: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # For each i, the sums of weight[j] / (1 + scale[i] * grow[j]) over the
+    # nodes before split and over the rest.
+    head, tail = np.empty(scale.size), np.empty(scale.size)
+    rows = max(1, _CHUNK_ELEMENTS // grow.size)
+    for lo in range(0, scale.size, rows):
+        part = slice(lo, lo + rows)
+        x = np.multiply(scale[part, None], grow)
         x += 1.0
-        weighted = weight / x
-        for j in range(len(ks)):
-            # Summed along the contiguous node axis only, so that each
-            # value's sum does not depend on the values beside it.
-            halves = np.add.reduce(weighted[:, :, starts[j]:starts[j + 1]], axis=-1)
-            out[j, part] = halves[:, 0] + halves[:, 1]
-    for j in range(len(ks)):
-        out[j] /= weight[:, starts[j]:starts[j + 1]].sum()
-    return out
+        np.divide(weight, x, out=x)
+        # Summed along the contiguous node axis only, so that each value's
+        # sums do not depend on the values beside it.
+        head[part] = np.add.reduce(x[:, :split], axis=-1)
+        tail[part] = np.add.reduce(x[:, split:], axis=-1)
+    return head, tail
 
 
 def _posterior_means(a1: float, zeta: np.ndarray, a2: float, tau: np.ndarray) -> np.ndarray:
-    # Posterior means for strength shape a1 and stress shape a2, shared by
-    # all values, and scale totals zeta[i], tau[i].
+    # Posterior means for shapes a1, a2 shared by all values and scale totals
+    # zeta[i], tau[i]: trapezoidal rules in t = y - mode on the nodes j * step,
+    # -below <= j <= above.  Rule 0 takes the even nodes of rule 1, the first
+    # that can accept a value; each later rule adds the last one's midpoints.
+    # The sd of y is sqrt(trigamma(a1) + trigamma(a2)); trigamma(a) < 1/a + 1/a**2.
+    sd = math.sqrt(1.0 / a1 + 1.0 / a1**2 + 1.0 / a2 + 1.0 / a2**2)
+    step = _BAYES_STEP * min(1.0, sd)
+    below = 2 * math.ceil(max(_TAIL_SDS * sd, _TAIL_SHAPE_WIDTH / a1) / (2 * step))
+    above = 2 * math.ceil(max(_TAIL_SDS * sd, _TAIL_SHAPE_WIDTH / a2) / (2 * step))
+    nodes = below + above + 1
+    # R = 1 / (1 + scale * exp(t)), scale = (a1/a2) * (tau/zeta) taken through
+    # logs.  Within the budget every node lies below t = 700 (40/a2 is at most
+    # 40/54 of the span), so the cap keeps each product finite; it moves only
+    # means below exp(span - 700), under 1e-268 for shapes of 1 or more.
     offset = math.log(a1 / a2) + np.log(tau) - np.log(zeta)
-    k = _BAYES_FIRST_NODES
-    previous, current = _posterior_mean_rules(a1, a2, offset, (k, 2 * k))
-    gap = np.abs(current - previous)
-    if (gap <= _BAYES_AGREEMENT).all():
-        return current
-    result = current
-    todo = np.arange(offset.size)
+    scale = np.exp(np.minimum(offset, 700.0 - above * step))
+    split = (nodes + 1) // 2
+    result = np.empty(scale.size)
+    todo = np.arange(scale.size)
+    numer, denom, total = 0.0, 0.0, a1 + a2
     while True:
-        agreed = gap <= _BAYES_AGREEMENT
-        result[todo[agreed]] = current[agreed]
-        todo, previous = todo[~agreed], current[~agreed]
-        if todo.size == 0:
-            return result
-        k *= 2
-        if k >= _BAYES_MAX_NODES:
+        if nodes > _BAYES_NODE_BUDGET:
             i = todo[0]
             raise NonConvergenceError(
-                f"posterior mean with shapes ({a1}, {a2}) and scale totals "
-                f"({zeta[i]}, {tau[i]}): the {k // 2}- and {k}-node rules differ by "
-                f"{gap[~agreed][0]:.3e}"
+                f"posterior mean with shapes ({a1}, {a2}) and scale totals ({zeta[i]}, "
+                f"{tau[i]}): the next rule needs {nodes} nodes, more than the "
+                f"{_BAYES_NODE_BUDGET} allowed"
             )
-        current = _posterior_mean_rules(a1, a2, offset[todo], (2 * k,))[0]
-        gap = np.abs(current - previous)
+        if split:  # rule 1, with rule 0's nodes (the even ones) first
+            j = np.arange(-below, above + 1)
+            t = np.concatenate((j[::2], j[1::2])) * step
+        else:  # the midpoints of the rule before: the odd nodes
+            t = (2 * np.arange(-below // 2, above // 2) + 1) * step
+        # The weight exp(a1*y) / (1 + exp(y))**(a1+a2) relative to its peak;
+        # it decays at rate a1 below the mode and a2 above it.
+        depth, rate = np.abs(t), np.where(t < 0.0, a1, a2)
+        weight = np.exp(-rate * depth - total * np.log1p(rate / total * np.expm1(-depth)))
+        head, tail = _weighted_sums(scale[todo], np.exp(t), weight, split)
+        previous = (numer + head) / (denom + weight[:split].sum())
+        numer, denom = numer + head + tail, denom + weight.sum()
+        current = numer / denom
+        agreed = np.abs(current - previous) <= _BAYES_AGREEMENT
+        result[todo[agreed]] = current[agreed]
+        if agreed.all():
+            return result
+        todo, numer = todo[~agreed], numer[~agreed]
+        # Halve the step: the next rule adds the midpoints of this one.
+        nodes, step, split = 2 * nodes - 1, 0.5 * step, 0
+        below, above = 2 * below, 2 * above
 
 
 def _estimates(
@@ -340,12 +327,14 @@ def estimate_kernel(
     weight ``exp(a1*y) / (1 + exp(y))**(a1+a2)`` is smooth and unimodal at
     log(a1/a2), and R is a logistic function of y shifted by
     log(tau/zeta).  The mean is integrated over mode +- max(14 sd,
-    40/shape) (a1 below the mode, a2 above it) with Gauss-Legendre nodes on
-    each side of the mode, and normalised by the integral of the weight
-    alone.  A value is accepted once the 128- and 256-node rules agree to
-    1e-12; otherwise the rule is doubled until two successive rules agree,
-    and NonConvergenceError is raised if the 2048- and 4096-node rules
-    still disagree.
+    40/shape) (a1 below the mode, a2 above it) by the trapezoidal rule,
+    normalised by the weight's sum on the same nodes.  The integrand is
+    analytic in the strip |Im y| < pi and decays exponentially both ways,
+    so the rule converges geometrically (Trefethen & Weideman, SIAM Review
+    2014).  Its step is 0.2 min(1, sd), and a value is accepted once the
+    rule on every other node agrees with it to 1e-12.  Otherwise midpoints
+    are added, halving the step, until two successive rules agree; a rule
+    of more than 4096 nodes raises NonConvergenceError.
     """
     z, v = _check_totals(r1, z, r2, v)
     return _estimates(r1, z, r2, v, prior_strength, prior_stress)

@@ -100,6 +100,8 @@ class CensoredSample:
         times = tuple(float(t) for t in self.ordered_times)
         if not times:
             raise ValueError("at least one observed failure time is required")
+        if not isinstance(self.total_units, (int, np.integer)):
+            raise ValueError(f"total_units must be an integer, got {self.total_units!r}")
         if self.total_units < len(times):
             raise ValueError(
                 f"total_units must be >= observed, got {self.total_units} < {len(times)}"

@@ -33,6 +33,7 @@ from stress_strength import (
     estimate_kernel,
     true_reliability,
 )
+import stress_strength.estimators as estimators
 from stress_strength.estimators import _posterior_means, _umvue, _umvue_branch, _unit_rule
 
 
@@ -359,16 +360,39 @@ class TestPosteriorMeanKernel:
                     prior_strength.shape_u + 8, zeta, prior_stress.shape_u + 8, tau)
                 assert abs(value - reference) <= 1e-10
 
-    def test_small_shapes_take_larger_rules(self):
-        # Shapes near 1 fail the first 128/256-node comparison; the values
-        # come from the doubled rules and are still accurate.
-        taus = np.array([1.0, 1e-5, 3.0])
-        values = _posterior_means(1.0, np.ones(3), 1.2, taus)
+    # Both sides of the step's switch from 1 to the sd bound (a = 1 + sqrt(3)
+    # for equal shapes), the shapes of r = 1, and unequal small shapes.
+    @pytest.mark.parametrize("a1, a2", [
+        (2.7, 2.7), (2.76, 2.76), (1.0, 1.0), (1.0, 60.0), (60.0, 1.0), (2.0, 3.0), (3.0, 2.0),
+    ])
+    def test_matches_high_precision_oracle_at_the_rule_edges(self, a1, a2):
+        ratios = np.logspace(-12.0, 12.0, 9)
+        values = _posterior_means(a1, np.ones(ratios.size), a2, ratios)
+        for value, ratio in zip(values, ratios):
+            assert abs(value - posterior_mean_mp_oracle(a1, 1.0, a2, ratio)) <= 1e-12
+
+    def test_small_shapes_take_larger_rules(self, monkeypatch):
+        # At shapes (1, 60) the first comparison fails for tau = 3 and 10 but
+        # not for 1e-6 and 1e6; the halved rule settles the first two, and
+        # every value is still accurate.
+        calls = []
+        real_sums = estimators._weighted_sums
+        monkeypatch.setattr(estimators, "_weighted_sums",
+                            lambda *args: calls.append(args[1].size) or real_sums(*args))
+        taus = np.array([1e-6, 3.0, 10.0, 1e6])
+        values = _posterior_means(1.0, np.ones(4), 60.0, taus)
+        assert calls == [301, 300]  # rule 1 with rule 0, then one halving
         for got, tau in zip(values, taus):
-            assert abs(got - posterior_mean_mp_oracle(1.0, 1.0, 1.2, tau)) <= 1e-12
+            assert abs(got - posterior_mean_mp_oracle(1.0, 1.0, 60.0, tau)) <= 1e-12
+
+    def test_rules_that_never_agree_stop_at_the_budget(self, monkeypatch):
+        # Shapes (10, 11) start from 141 nodes; the rule of 4481 would pass 4096.
+        monkeypatch.setattr(estimators, "_BAYES_AGREEMENT", -1.0)
+        with pytest.raises(NonConvergenceError, match="needs 4481 nodes"):
+            posterior_mean(10.0, 1.0, 11.0, 1.0)
 
     def test_shapes_too_small_for_the_largest_rule_raise(self):
-        with pytest.raises(NonConvergenceError, match="4096-node"):
+        with pytest.raises(NonConvergenceError, match="more than the 4096 allowed"):
             posterior_mean(1e-4, 1.0, 2e-4, 3.0)
 
 

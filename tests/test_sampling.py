@@ -148,7 +148,9 @@ class TestCensoredSample:
         with pytest.raises(ValueError):
             CensoredSample(ordered_times=(2.0, 1.0), total_units=2)
 
-    @pytest.mark.parametrize("times,total_units", [((), 3), ((1.0, 2.0), 1), ((0.0, 1.0), 2)])
+    # The last case would count half a censored unit in ttt.
+    @pytest.mark.parametrize("times,total_units",
+                             [((), 3), ((1.0, 2.0), 1), ((0.0, 1.0), 2), ((1.0, 2.0), 2.5)])
     def test_rejects_empty_overfull_or_nonpositive(self, times, total_units):
         with pytest.raises(ValueError):
             CensoredSample(ordered_times=times, total_units=total_units)

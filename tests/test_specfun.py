@@ -168,6 +168,19 @@ class TestFQuantile:
         with pytest.raises(ValueError):
             f_quantile(0.5, -1.0, 2.0)
 
+    def test_largest_supported_degrees_of_freedom(self):
+        expected = scipy.stats.f.ppf(0.5, 1e6, 1e6)
+        assert abs(f_quantile(0.5, 1e6, 1e6) - expected) <= 1e-12 * expected
+        # Beyond the bound the continued fraction would stall.
+        with pytest.raises(ValueError, match=r"\(0, 1e6\]"):
+            f_quantile(0.5, 1e7, 1e7)
+
+    def test_root_where_the_beta_density_is_subnormal(self):
+        # There the Halley step rounds to 0, which must not pass for
+        # convergence.
+        expected = scipy.stats.f.ppf(1e-300, 3.0, 2.0)
+        assert abs(f_quantile(1e-300, 3.0, 2.0) - expected) <= 1e-12 * expected
+
     @pytest.mark.parametrize("d1, d2", [(0.5, 0.5), (1.0, 1.0), (400.0, 2.0)])
     def test_upper_tail_with_few_denominator_df(self, d1, d2):
         # The quantile is 8.46e22 at (0.5, 0.5); f_cdf, which is 1 - (upper
