@@ -29,24 +29,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
+    # Every cell runs before the file is opened, so a run that fails part way
+    # leaves an earlier table in place.
+    rows = []
+    for method in ("exact", "asymptotic"):
+        for size in SIZES:
+            r = max(1, round(0.8 * size))
+            config = SimCellConfig(
+                params=ExponentialScales(args.alpha, args.beta),
+                n=size, m=size, r1=r, r2=r,
+                replicates=args.replicates, seed=args.seed, level=args.level,
+            )
+            result = run_coverage(config, method)
+            rows.append([
+                method, size, size, r, r, format(args.level, "g"),
+                format(result.coverage, ".6g"), format(result.mean_width, ".6g"),
+            ])
+            print(f"{method} n=m={size} r={r}: coverage {result.coverage:.4f}, "
+                  f"mean width {result.mean_width:.4f}", flush=True)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["method", "n", "m", "r1", "r2", "level", "coverage", "mean_width"])
-        for method in ("exact", "asymptotic"):
-            for size in SIZES:
-                r = max(1, round(0.8 * size))
-                config = SimCellConfig(
-                    params=ExponentialScales(args.alpha, args.beta),
-                    n=size, m=size, r1=r, r2=r,
-                    replicates=args.replicates, seed=args.seed, level=args.level,
-                )
-                result = run_coverage(config, method)
-                writer.writerow([
-                    method, size, size, r, r, format(args.level, "g"),
-                    format(result.coverage, ".6g"), format(result.mean_width, ".6g"),
-                ])
-                print(f"{method} n=m={size} r={r}: coverage {result.coverage:.4f}, "
-                      f"mean width {result.mean_width:.4f}", flush=True)
+        writer.writerows(rows)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

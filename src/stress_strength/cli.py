@@ -5,6 +5,10 @@ headerless CSV files of observed failure times; ``simulate`` replays a grid
 of Monte Carlo cells and writes the comparison table; ``coverage`` measures
 one interval method.  Results go to the output stream (``--out`` or
 stdout), diagnostics go to stderr, and every error path exits nonzero.
+
+``parse_manifest`` validates argv and returns the argparse namespace itself,
+with the seed and priors resolved; each subparser sets ``run`` to its
+subcommand's executor, which reads the namespace directly.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager, suppress
 
 from .estimators import NONINFORMATIVE, GammaPrior, estimate_all
 from .intervals import METHODS, asymptotic_ci, exact_ci
@@ -29,7 +32,7 @@ from .simulation import (
     run_grid,
 )
 
-__all__ = ["RunManifest", "UsageError", "InputError", "parse_manifest", "execute", "main"]
+__all__ = ["UsageError", "InputError", "parse_manifest", "main"]
 
 SEED_ENV_VAR = "STRESS_STRENGTH_SEED"
 GRID_COLUMNS = ("m", "n", "r1", "r2", "alpha", "beta", "replicates")
@@ -47,33 +50,6 @@ class UsageError(Exception):
 
 class InputError(Exception):
     """Unreadable or inconsistent input data; reported with exit status 1."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """A fully validated description of one tool invocation."""
-
-    command: str
-    strength_path: str | None = None
-    stress_path: str | None = None
-    n: int | None = None
-    m: int | None = None
-    prior_strength: GammaPrior = NONINFORMATIVE
-    prior_stress: GammaPrior = NONINFORMATIVE
-    method: str | None = None
-    level: float = 0.95
-    grid_path: str | None = None
-    out_path: str | None = None
-    seed: int = 0
-    workers: int = 1
-    alpha: float | None = None
-    beta: float | None = None
-    r1: int | None = None
-    r2: int | None = None
-    replicates: int = 2999
-    full_precision: bool = False
-    dump_strength_path: str | None = None
-    dump_stress_path: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="rewrite the parsed stress sample to PATH")
     estimate.add_argument("--full-precision", action="store_true",
                           help="print full float precision instead of 6 significant digits")
+    estimate.set_defaults(run=_execute_estimate)
 
     ci = sub.add_parser("ci", help="confidence interval for one dataset")
     add_data_args(ci)
@@ -115,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--level", type=float, default=0.95, help="confidence level in (0, 1)")
     ci.add_argument("--full-precision", action="store_true",
                     help="print full float precision instead of 6 significant digits")
+    ci.set_defaults(run=_execute_ci)
 
     simulate = sub.add_parser("simulate", help="run a grid of Monte Carlo cells")
     simulate.add_argument("--grid", required=True, metavar="PATH",
@@ -128,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_prior_args(simulate)
     simulate.add_argument("--full-precision", action="store_true",
                           help="write full float precision instead of 6 significant digits")
+    simulate.set_defaults(run=_execute_simulate)
 
     coverage = sub.add_parser("coverage", help="empirical coverage of one interval method")
     coverage.add_argument("--alpha", required=True, type=float, help="true strength scale")
@@ -145,27 +124,25 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="coverage CSV destination (default: stdout)")
     coverage.add_argument("--full-precision", action="store_true",
                           help="write full float precision instead of 6 significant digits")
+    coverage.set_defaults(run=_execute_coverage)
 
     return parser
 
 
-def _seed_from_env(problems: list[str]) -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _resolve_seed(seed: int | None, problems: list[str]) -> int:
+    """The ``--seed`` flag, else ``$STRESS_STRENGTH_SEED``, else 0."""
+    source = "--seed"
+    if seed is None:
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            problems.append(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+            return 0
     try:
-        value = int(raw)
+        return RngStream(seed).seed
     except ValueError:
-        problems.append(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-        return 0
-    return _checked_seed(value, SEED_ENV_VAR, problems)
-
-
-def _checked_seed(value: int, source: str, problems: list[str]) -> int:
-    try:
-        return RngStream(value).seed
-    except ValueError:
-        problems.append(f"{source} must lie in [0, 2**64), got {value}")
+        problems.append(f"{source} must lie in [0, 2**64), got {seed}")
         return 0
 
 
@@ -179,76 +156,29 @@ def _prior_from_args(pair: list[float] | None, flag: str, problems: list[str]) -
         return NONINFORMATIVE
 
 
-def parse_manifest(argv: list[str]) -> RunManifest:
-    """Parse and validate argv, reporting every violated constraint at once."""
+def parse_manifest(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate argv, reporting every violated constraint at once.
+
+    The namespace comes back with ``seed`` resolved (``simulate`` and
+    ``coverage``), the priors as ``GammaPrior`` (``estimate`` and
+    ``simulate``), and ``run``, the subcommand's executor.
+    """
     args = _build_parser().parse_args(argv)
     problems: list[str] = []
-
-    def check_counts() -> None:
+    # Each check applies to the subcommands that have the flag it reads.
+    if "n" in args:
         if args.n < 1:
             problems.append(f"--n must be >= 1, got {args.n}")
         if args.m < 1:
             problems.append(f"--m must be >= 1, got {args.m}")
-
-    def check_level() -> None:
+    if "level" in args:
         if not 0.0 < args.level < 1.0:
             problems.append(f"--level must lie in (0, 1), got {args.level}")
-
-    def check_method() -> None:
         if args.method not in METHODS:
             problems.append(f"--method must be one of {', '.join(METHODS)}, got {args.method!r}")
-
-    def resolve_seed() -> int:
-        if args.seed is None:
-            return _seed_from_env(problems)
-        return _checked_seed(args.seed, "--seed", problems)
-
-    manifest: RunManifest
-    if args.command == "estimate":
-        check_counts()
-        manifest = RunManifest(
-            command="estimate",
-            strength_path=args.strength,
-            stress_path=args.stress,
-            n=args.n,
-            m=args.m,
-            prior_strength=_prior_from_args(args.prior_strength, "--prior-strength", problems),
-            prior_stress=_prior_from_args(args.prior_stress, "--prior-stress", problems),
-            full_precision=args.full_precision,
-            dump_strength_path=args.dump_strength,
-            dump_stress_path=args.dump_stress,
-        )
-    elif args.command == "ci":
-        check_counts()
-        check_level()
-        check_method()
-        manifest = RunManifest(
-            command="ci",
-            strength_path=args.strength,
-            stress_path=args.stress,
-            n=args.n,
-            m=args.m,
-            method=args.method,
-            level=args.level,
-            full_precision=args.full_precision,
-        )
-    elif args.command == "simulate":
-        if args.workers < 1:
-            problems.append(f"--workers must be >= 1, got {args.workers}")
-        manifest = RunManifest(
-            command="simulate",
-            grid_path=args.grid,
-            out_path=args.out,
-            seed=resolve_seed(),
-            workers=args.workers,
-            prior_strength=_prior_from_args(args.prior_strength, "--prior-strength", problems),
-            prior_stress=_prior_from_args(args.prior_stress, "--prior-stress", problems),
-            full_precision=args.full_precision,
-        )
-    else:
-        check_counts()
-        check_level()
-        check_method()
+    if "workers" in args and args.workers < 1:
+        problems.append(f"--workers must be >= 1, got {args.workers}")
+    if args.command == "coverage":
         if not (math.isfinite(args.alpha) and args.alpha > 0.0):
             problems.append(f"--alpha must be positive and finite, got {args.alpha}")
         if not (math.isfinite(args.beta) and args.beta > 0.0):
@@ -259,47 +189,44 @@ def parse_manifest(argv: list[str]) -> RunManifest:
             problems.append(f"--r2 must lie in [1, m={args.m}], got {args.r2}")
         if args.replicates < 1:
             problems.append(f"--replicates must be >= 1, got {args.replicates}")
-        manifest = RunManifest(
-            command="coverage",
-            alpha=args.alpha,
-            beta=args.beta,
-            n=args.n,
-            m=args.m,
-            r1=args.r1,
-            r2=args.r2,
-            method=args.method,
-            level=args.level,
-            replicates=args.replicates,
-            seed=resolve_seed(),
-            out_path=args.out,
-            full_precision=args.full_precision,
-        )
-
+    if "seed" in args:
+        args.seed = _resolve_seed(args.seed, problems)
+    if "prior_strength" in args:
+        args.prior_strength = _prior_from_args(args.prior_strength, "--prior-strength", problems)
+        args.prior_stress = _prior_from_args(args.prior_stress, "--prior-stress", problems)
     if problems:
         raise UsageError("; ".join(problems))
-    return manifest
+    return args
 
 
 def _format_float(value: float, full_precision: bool) -> str:
     return repr(float(value)) if full_precision else format(float(value), ".6g")
 
 
-def _read_times_file(path: str) -> list[float]:
-    times: list[float] = []
+def _csv_rows(path: str):
+    """Yield (line number, fields) per line; unreadable or undecodable files raise ``InputError``."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise InputError(f"{path}:{lineno}: expected one value per line, got {len(row)} fields")
-            try:
-                times.append(float(row[0]))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: not a number: {row[0].strip()!r}") from None
+        try:
+            yield from enumerate(csv.reader(handle), start=1)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_times_file(path: str) -> list[float]:
+    times: list[float] = []
+    for lineno, row in _csv_rows(path):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 1:
+            raise InputError(f"{path}:{lineno}: expected one value per line, got {len(row)} fields")
+        try:
+            times.append(float(row[0]))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a number: {row[0].strip()!r}") from None
     if not times:
         raise InputError(f"{path}: no observations found")
     return times
@@ -317,53 +244,50 @@ def _load_sample(path: str, total_units: int, role: str, count_flag: str) -> Cen
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _dump_sample(path: str, sample: CensoredSample) -> None:
-    with open(path, "w", newline="") as handle:
-        for t in sample.ordered_times:
-            handle.write(f"{t!r}\n")
+def _load_data(args: argparse.Namespace) -> StressStrengthData:
+    return StressStrengthData(
+        strength=_load_sample(args.strength, args.n, "strength", "--n"),
+        stress=_load_sample(args.stress, args.m, "stress", "--m"),
+    )
 
 
-def _load_grid(path: str, manifest: RunManifest) -> list[SimCellConfig]:
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def _load_grid(args: argparse.Namespace) -> list[SimCellConfig]:
+    path = args.grid
+    rows = _csv_rows(path)
+    _, header = next(rows, (None, None))
+    if header is None or tuple(name.strip() for name in header) != GRID_COLUMNS:
+        raise InputError(f"{path}: header must be exactly {','.join(GRID_COLUMNS)}")
     configs: list[SimCellConfig] = []
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(name.strip() for name in header) != GRID_COLUMNS:
-            raise InputError(f"{path}: header must be exactly {','.join(GRID_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(GRID_COLUMNS):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(GRID_COLUMNS)} columns, got {len(row)}"
+    for lineno, row in rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(GRID_COLUMNS):
+            raise InputError(
+                f"{path}:{lineno}: expected {len(GRID_COLUMNS)} columns, got {len(row)}"
+            )
+        try:
+            m, n = int(row[0]), int(row[1])
+            r1, r2 = int(row[2]), int(row[3])
+            alpha, beta = float(row[4]), float(row[5])
+            replicates = int(row[6])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        try:
+            configs.append(
+                SimCellConfig(
+                    params=ExponentialScales(alpha, beta),
+                    n=n,
+                    m=m,
+                    r1=r1,
+                    r2=r2,
+                    replicates=replicates,
+                    seed=args.seed,
+                    prior_strength=args.prior_strength,
+                    prior_stress=args.prior_stress,
                 )
-            try:
-                m, n = int(row[0]), int(row[1])
-                r1, r2 = int(row[2]), int(row[3])
-                alpha, beta = float(row[4]), float(row[5])
-                replicates = int(row[6])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            try:
-                configs.append(
-                    SimCellConfig(
-                        params=ExponentialScales(alpha, beta),
-                        n=n,
-                        m=m,
-                        r1=r1,
-                        r2=r2,
-                        replicates=replicates,
-                        seed=manifest.seed,
-                        prior_strength=manifest.prior_strength,
-                        prior_stress=manifest.prior_stress,
-                    )
-                )
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     if not configs:
         raise InputError(f"{path}: no cells found")
     return configs
@@ -407,47 +331,46 @@ def _output(path: str | None):
         raise
 
 
-def _execute_estimate(manifest: RunManifest) -> int:
-    strength = _load_sample(manifest.strength_path, manifest.n, "strength", "--n")
-    stress = _load_sample(manifest.stress_path, manifest.m, "stress", "--m")
-    data = StressStrengthData(strength=strength, stress=stress)
-    estimates = estimate_all(data, manifest.prior_strength, manifest.prior_stress)
+def _execute_estimate(args: argparse.Namespace) -> int:
+    data = _load_data(args)
+    with ExitStack() as dumps:
+        # Every dump destination is opened before anything is printed, and
+        # none replaces its file unless the whole run succeeds.
+        for path, sample in ((args.dump_strength, data.strength), (args.dump_stress, data.stress)):
+            if path is not None:
+                dumps.enter_context(_output(path)).writelines(
+                    f"{t!r}\n" for t in sample.ordered_times
+                )
+        estimates = estimate_all(data, args.prior_strength, args.prior_stress)
     for name, value in (
         ("R1_mle", estimates.r1_mle),
         ("R2_umvue", estimates.r2_umvue),
         ("R3_bayes_conjugate", estimates.r3_bayes_conjugate),
         ("R4_bayes_noninf", estimates.r4_bayes_noninf),
     ):
-        print(f"{name} {_format_float(value, manifest.full_precision)}")
-    if manifest.dump_strength_path is not None:
-        _dump_sample(manifest.dump_strength_path, strength)
-    if manifest.dump_stress_path is not None:
-        _dump_sample(manifest.dump_stress_path, stress)
+        print(f"{name} {_format_float(value, args.full_precision)}")
     return 0
 
 
-def _execute_ci(manifest: RunManifest) -> int:
-    strength = _load_sample(manifest.strength_path, manifest.n, "strength", "--n")
-    stress = _load_sample(manifest.stress_path, manifest.m, "stress", "--m")
-    data = StressStrengthData(strength=strength, stress=stress)
-    interval_of = asymptotic_ci if manifest.method == "asymptotic" else exact_ci
-    interval = interval_of(data, manifest.level)
-    print(f"lower {_format_float(interval.lower, manifest.full_precision)}")
-    print(f"upper {_format_float(interval.upper, manifest.full_precision)}")
-    print(f"level {_format_float(interval.level, manifest.full_precision)}")
+def _execute_ci(args: argparse.Namespace) -> int:
+    interval_of = asymptotic_ci if args.method == "asymptotic" else exact_ci
+    interval = interval_of(_load_data(args), args.level)
+    print(f"lower {_format_float(interval.lower, args.full_precision)}")
+    print(f"upper {_format_float(interval.upper, args.full_precision)}")
+    print(f"level {_format_float(interval.level, args.full_precision)}")
     print(f"method {interval.method}")
     return 0
 
 
-def _execute_simulate(manifest: RunManifest) -> int:
-    configs = _load_grid(manifest.grid_path, manifest)
+def _execute_simulate(args: argparse.Namespace) -> int:
+    configs = _load_grid(args)
     failures = 0
 
     def fmt(value: float) -> str:
-        return _format_float(value, manifest.full_precision)
+        return _format_float(value, args.full_precision)
 
-    with _output(manifest.out_path) as out:
-        entries = run_grid(configs, workers=manifest.workers)
+    with _output(args.out) as out:
+        entries = run_grid(configs, workers=args.workers)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
         for index, entry in enumerate(entries):
@@ -477,51 +400,40 @@ def _execute_simulate(manifest: RunManifest) -> int:
     return 1 if failures else 0
 
 
-def _execute_coverage(manifest: RunManifest) -> int:
+def _execute_coverage(args: argparse.Namespace) -> int:
     config = SimCellConfig(
-        params=ExponentialScales(manifest.alpha, manifest.beta),
-        n=manifest.n,
-        m=manifest.m,
-        r1=manifest.r1,
-        r2=manifest.r2,
-        replicates=manifest.replicates,
-        seed=manifest.seed,
-        level=manifest.level,
+        params=ExponentialScales(args.alpha, args.beta),
+        n=args.n,
+        m=args.m,
+        r1=args.r1,
+        r2=args.r2,
+        replicates=args.replicates,
+        seed=args.seed,
+        level=args.level,
     )
-    with _output(manifest.out_path) as out:
-        result = run_coverage(config, manifest.method)
+    with _output(args.out) as out:
+        result = run_coverage(config, args.method)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(COVERAGE_COLUMNS)
         writer.writerow(
             [
                 result.method,
-                _format_float(manifest.level, manifest.full_precision),
-                _format_float(result.coverage, manifest.full_precision),
-                _format_float(result.mean_width, manifest.full_precision),
+                _format_float(args.level, args.full_precision),
+                _format_float(result.coverage, args.full_precision),
+                _format_float(result.mean_width, args.full_precision),
             ]
         )
     return 0
 
 
-def execute(manifest: RunManifest) -> int:
-    """Run a validated manifest; returns the process exit status."""
-    runner = {
-        "estimate": _execute_estimate,
-        "ci": _execute_ci,
-        "simulate": _execute_simulate,
-        "coverage": _execute_coverage,
-    }[manifest.command]
-    return runner(manifest)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        manifest = parse_manifest(sys.argv[1:] if argv is None else list(argv))
+        args = parse_manifest(sys.argv[1:] if argv is None else list(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        return execute(manifest)
+        return args.run(args)
     except (InputError, SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,7 +45,7 @@ __all__ = [
 
 # Kernel temporaries hold at most this many (value, node) pairs at a time,
 # so peak memory does not grow with the number of values in a call.
-_CHUNK_ELEMENTS = 4096
+_CHUNK_ELEMENTS = 16384
 # The UMVUE drops the nodes of its rule where the spacing density is below
 # exp(_UMVUE_LOG_TRIM) = 2**-60; together they weigh at most that.
 _UMVUE_LOG_TRIM = -60.0 * math.log(2.0)

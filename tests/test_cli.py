@@ -54,7 +54,7 @@ class TestParseManifest:
             "--n", "10", "--m", "12", "--prior-strength", "2.0", "1.5",
         ])
         assert manifest.command == "estimate"
-        assert manifest.strength_path == "a.csv"
+        assert manifest.strength == "a.csv"
         assert manifest.n == 10 and manifest.m == 12
         assert manifest.prior_strength == GammaPrior(2.0, 1.5)
         assert manifest.prior_stress == NONINFORMATIVE
@@ -75,8 +75,8 @@ class TestParseManifest:
             "--seed", "7", "--workers", "3",
         ])
         assert manifest.command == "simulate"
-        assert manifest.grid_path == "g.csv"
-        assert manifest.out_path == "r.csv"
+        assert manifest.grid == "g.csv"
+        assert manifest.out == "r.csv"
         assert manifest.seed == 7
         assert manifest.workers == 3
 
@@ -198,6 +198,22 @@ class TestEstimateCommand:
         assert rc == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flag", ["--dump-strength", "--dump-stress"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_dump_exits_one_before_printing(self, tmp_path, capsys, flag, where):
+        strength = write_times(tmp_path / "x.csv", [2.1, 0.7, 0.4])
+        stress = write_times(tmp_path / "y.csv", [1.9, 0.8])
+        good = tmp_path / "good.csv"
+        bad = tmp_path / "missing" / "d.csv" if where == "missing directory" else tmp_path
+        other = "--dump-stress" if flag == "--dump-strength" else "--dump-strength"
+        rc = cli.main(["estimate", "--strength", strength, "--stress", stress,
+                       "--n", "6", "--m", "4", other, str(good), flag, str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {bad}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.csv"]
+
     def test_more_observations_than_units_exits_one(self, tmp_path, capsys):
         strength = write_times(tmp_path / "x.csv", [1.0, 2.0, 3.0])
         stress = write_times(tmp_path / "y.csv", [1.0])
@@ -216,6 +232,15 @@ class TestEstimateCommand:
                        "--n", "3", "--m", "1"])
         assert rc == 1
         assert f"{bad}:2: not a number: 'potato'" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "x.csv"
+        bad.write_bytes(b"\xff\xfe1\x00.\x000\x00\n\x00")
+        stress = write_times(tmp_path / "y.csv", [1.0])
+        rc = cli.main(["estimate", "--strength", str(bad), "--stress", stress,
+                       "--n", "3", "--m", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
 
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         strength = tmp_path / "x.csv"
@@ -333,6 +358,13 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--grid", str(grid)])
         assert rc == 1
         assert f"{grid}:3:" in capsys.readouterr().err
+
+    def test_non_utf8_grid_is_named(self, tmp_path, capsys):
+        grid = tmp_path / "g.csv"
+        grid.write_bytes(b"m,n,r1,r2,alpha,beta,replicates\n\xff\xfe5,5,3,3,2.0,3.0,10\n")
+        rc = cli.main(["simulate", "--grid", str(grid)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {grid}: 'utf-8' codec can't decode")
 
     def test_infeasible_cell_names_line_number(self, tmp_path, capsys):
         grid = write_grid(tmp_path / "g.csv", [(5, 5, 9, 3, 2.0, 3.0, 10)])

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from stress_strength import GammaPrior
 from stress_strength.cli import parse_manifest
 
@@ -38,3 +40,34 @@ class TestRunTableGrids:
         for manifest in manifests:
             assert manifest.prior_strength == GammaPrior(*script.PRIOR_STRENGTH)
             assert manifest.prior_stress == GammaPrior(*script.PRIOR_STRESS)
+
+
+class TestRunCoverageStudy:
+    def test_writes_header_and_twelve_rows(self, tmp_path):
+        out = tmp_path / "coverage.csv"
+        script = load_script("run_coverage_study")
+        assert script.main(["--out", str(out), "--replicates", "20"]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "method,n,m,r1,r2,level,coverage,mean_width"
+        assert len(lines) == 13
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [method, str(size)] for method in ("exact", "asymptotic") for size in script.SIZES
+        ]
+
+    def test_crash_leaves_earlier_table_untouched(self, monkeypatch, tmp_path):
+        out = tmp_path / "coverage.csv"
+        out.write_bytes(b"earlier table\n")
+        script = load_script("run_coverage_study")
+        real_run_coverage = script.run_coverage
+        calls = []
+
+        def crash_on_third(config, method):
+            calls.append(method)
+            if len(calls) == 3:
+                raise RuntimeError("synthetic crash")
+            return real_run_coverage(config, method)
+
+        monkeypatch.setattr(script, "run_coverage", crash_on_third)
+        with pytest.raises(RuntimeError, match="synthetic crash"):
+            script.main(["--out", str(out), "--replicates", "20"])
+        assert out.read_bytes() == b"earlier table\n"
