@@ -39,12 +39,8 @@ from .simulation import (
 )
 from .specfun import (
     NonConvergenceError,
-    f_cdf,
     f_quantile,
-    gauss_legendre,
-    normal_cdf,
     normal_quantile,
-    reg_incomplete_beta,
 )
 
 __version__ = "0.1.0"
@@ -70,13 +66,9 @@ __all__ = [
     "estimate_all",
     "estimate_kernel",
     "exact_ci",
-    "f_cdf",
     "f_quantile",
-    "gauss_legendre",
     "interval_kernel",
-    "normal_cdf",
     "normal_quantile",
-    "reg_incomplete_beta",
     "run_cell",
     "run_coverage",
     "run_grid",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -52,6 +53,9 @@ class InputError(Exception):
     """Unreadable or inconsistent input data; reported with exit status 1."""
 
 
+# Built once per process: parse_args leaves the parser as it was and
+# returns a fresh namespace on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stress-strength",

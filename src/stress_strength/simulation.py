@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -199,9 +199,12 @@ def _grid_entry(config: SimCellConfig) -> SimCellResult | CellFailure:
 def run_grid(
     configs: list[SimCellConfig], workers: int = 1
 ) -> list[SimCellResult | CellFailure]:
-    """Run every cell, keeping input order in the output.
+    """Run every distinct cell once, keeping input order in the output.
 
-    Cells are independent, so ``workers > 1`` fans them out over processes;
+    Cells that differ only in n and m simulate the same thing (see the
+    module docstring), so only the first of them runs, and each of its
+    rows gets a copy of its entry carrying the row's own config.  Cells
+    are independent, so ``workers > 1`` fans them out over processes;
     per-cell seeding makes the results identical either way.  A failing
     cell yields a :class:`CellFailure` entry instead of aborting the rest,
     and so does every cell a dead worker process took down with the pool.
@@ -209,14 +212,20 @@ def run_grid(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     configs = list(configs)
-    if workers == 1 or len(configs) <= 1:
-        return [_grid_entry(config) for config in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_grid_entry, config) for config in configs]
-    entries: list[SimCellResult | CellFailure] = []
-    for config, future in zip(configs, futures):
-        try:
-            entries.append(future.result())
-        except BrokenProcessPool as exc:
-            entries.append(CellFailure(config=config, message=f"worker process died: {exc}"))
-    return entries
+    keys = [replace(config, n=config.r1, m=config.r2) for config in configs]
+    cells: dict[SimCellConfig, SimCellConfig] = {}
+    for key, config in zip(keys, configs):
+        cells.setdefault(key, config)
+    if workers == 1 or len(cells) <= 1:
+        entries = [_grid_entry(config) for config in cells.values()]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_grid_entry, config) for config in cells.values()]
+        entries = []
+        for config, future in zip(cells.values(), futures):
+            try:
+                entries.append(future.result())
+            except BrokenProcessPool as exc:
+                entries.append(CellFailure(config=config, message=f"worker process died: {exc}"))
+    by_key = dict(zip(cells, entries))
+    return [replace(by_key[key], config=config) for key, config in zip(keys, configs)]

@@ -18,9 +18,7 @@ import numpy as np
 __all__ = [
     "NonConvergenceError",
     "reg_incomplete_beta",
-    "normal_cdf",
     "normal_quantile",
-    "f_cdf",
     "f_quantile",
     "gauss_legendre",
 ]
@@ -127,11 +125,6 @@ def _stirling_remainder(x: float) -> float:
     return total / x
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 @lru_cache(maxsize=8192)
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, by the standard library's
@@ -139,16 +132,6 @@ def normal_quantile(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     return NormalDist().inv_cdf(p)
-
-
-def f_cdf(x: float, d1: float, d2: float) -> float:
-    """F distribution CDF with (d1, d2) degrees of freedom."""
-    if not (math.isfinite(d1) and d1 > 0.0 and math.isfinite(d2) and d2 > 0.0):
-        raise ValueError(f"degrees of freedom must be positive, got d1={d1}, d2={d2}")
-    if x <= 0.0:
-        return 0.0
-    y = d1 * x / (d1 * x + d2)
-    return reg_incomplete_beta(0.5 * d1, 0.5 * d2, y)
 
 
 @lru_cache(maxsize=8192)

@@ -154,6 +154,57 @@ class TestParseManifest:
                 ])
 
 
+GOOD_ARGV = {
+    "estimate": ["estimate", "--strength", "a.csv", "--stress", "b.csv", "--n", "10", "--m", "12",
+                 "--prior-strength", "2.0", "1.5"],
+    "ci": ["ci", "--strength", "a.csv", "--stress", "b.csv", "--n", "5", "--m", "5",
+           "--method", "exact", "--level", "0.9"],
+    "simulate": ["simulate", "--grid", "g.csv", "--seed", "7", "--workers", "3",
+                 "--prior-stress", "2", "5"],
+    "coverage": ["coverage", "--alpha", "2", "--beta", "3", "--n", "10", "--m", "10",
+                 "--r1", "8", "--r2", "8", "--method", "asymptotic", "--seed", "4"],
+}
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("command", GOOD_ARGV)
+    def test_namespaces_are_independent(self, command):
+        expected = vars(parse_manifest(GOOD_ARGV[command])).copy()
+        first = parse_manifest(GOOD_ARGV[command])
+        second = parse_manifest(GOOD_ARGV[command])
+        assert first is not second
+        for name in list(vars(first)):
+            setattr(first, name, "changed")
+        first.extra = True
+        assert vars(second) == expected
+
+    @pytest.mark.parametrize("command", GOOD_ARGV)
+    def test_rejected_calls_leave_no_trace(self, command, capsys):
+        before = vars(parse_manifest(GOOD_ARGV[command]))
+        with pytest.raises(UsageError):
+            parse_manifest(["simulate", "--grid", "other.csv", "--workers", "0", "--seed", "1"])
+        with pytest.raises(SystemExit) as excinfo:
+            parse_manifest([command, "--no-such-flag", "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert vars(parse_manifest(GOOD_ARGV[command])) == before
+
+    @pytest.mark.parametrize("command", GOOD_ARGV)
+    def test_help_is_the_same_on_every_call(self, command, capsys):
+        texts = []
+        for parse in (parse_manifest, parse_manifest, cli._build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as excinfo:
+                parse([command, "--help"])
+            assert excinfo.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].startswith(f"usage: stress-strength {command} ")
+
+
 class TestEstimateCommand:
     def test_symmetric_files_give_half_everywhere(self, tmp_path, capsys):
         strength = write_times(tmp_path / "x.csv", [1.0, 2.0, 3.0])

@@ -41,6 +41,25 @@ class TestRunTableGrids:
             assert manifest.prior_strength == GammaPrior(*script.PRIOR_STRENGTH)
             assert manifest.prior_stress == GammaPrior(*script.PRIOR_STRESS)
 
+    def test_real_run_writes_seven_tables_with_equal_copies(self, tmp_path):
+        script = load_script("run_table_grids")
+        argv = ["--outdir", str(tmp_path), "--replicates", "20", "--seed", "3"]
+        assert script.main(argv) == 0
+        tables = sorted(tmp_path.glob("table_*.csv"))
+        assert len(tables) == 7
+        for path in tables:
+            _, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            layout = script.EQUAL_ROWS if path.name.startswith("table_equal") else script.UNEQUAL_ROWS
+            assert [tuple(int(v) for v in row[:4]) for row in rows] == layout
+            assert len(rows) in (17, 21)
+            # Rows with equal (r1, r2) are one experiment: only m and n differ.
+            by_counts = {}
+            for row in rows:
+                by_counts.setdefault((row[2], row[3]), []).append(row[2:])
+            assert any(len(copies) > 1 for copies in by_counts.values())
+            for copies in by_counts.values():
+                assert all(copy == copies[0] for copy in copies)
+
 
 class TestRunCoverageStudy:
     def test_writes_header_and_twelve_rows(self, tmp_path):

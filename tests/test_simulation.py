@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, moment algebra, failure isolation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,65 @@ class TestRunGrid:
         assert entries[1].message.startswith("worker process died: ")
         for entry in entries:
             assert isinstance(entry, (SimCellResult, CellFailure))
+
+    @staticmethod
+    def grid_with_copies():
+        """Cells that each differ from the first in exactly one setting other
+        than n and m, every one repeated at three (n, m) pairs, interleaved."""
+        base = small_config(replicates=20, n=8, m=8, r1=4, r2=5)
+        cells = [
+            base,
+            replace(base, seed=72),
+            replace(base, replicates=21),
+            replace(base, level=0.9),
+            replace(base, params=ExponentialScales(2.0, 4.0)),
+            replace(base, prior_strength=GammaPrior(2.0, 4.0)),
+            replace(base, prior_stress=GammaPrior(2.0, 5.0)),
+        ]
+        return cells, [replace(cell, n=n, m=m) for n, m in ((8, 8), (4, 5), (50, 60))
+                       for cell in cells]
+
+    def test_runs_each_distinct_cell_once(self, monkeypatch):
+        cells, grid = self.grid_with_copies()
+        calls = []
+        real = simulation.run_cell
+
+        def spy(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(simulation, "run_cell", spy)
+        entries = run_grid(grid)
+        # The first row of each cell runs, and no near-copy is merged.
+        assert calls == cells
+        assert [entry.config for entry in entries] == grid
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_copy_equals_its_own_cell(self, workers):
+        _, grid = self.grid_with_copies()
+        assert run_grid(grid, workers=workers) == [run_cell(config) for config in grid]
+
+    def test_failed_cell_fails_in_every_copy(self, monkeypatch):
+        good = small_config(replicates=5, seed=71)
+        bad = small_config(replicates=5, seed=72)
+        grid = [good, bad, replace(bad, n=20, m=30), replace(good, n=6), replace(bad, m=6)]
+        poison_kernel(monkeypatch, cell_totals(bad)[0], ValueError("bad cell"))
+        entries = run_grid(grid)
+        assert [entry.config for entry in entries] == grid
+        for index in (1, 2, 4):
+            assert isinstance(entries[index], CellFailure)
+            assert entries[index].message == "replicate 0 failed: bad cell"
+        assert entries[3] == replace(entries[0], config=grid[3]) == run_cell(grid[3])
+
+    def test_dead_worker_fails_every_copy(self, monkeypatch):
+        configs = [small_config(replicates=5, seed=seed) for seed in (1, 2, 3)]
+        grid = configs + [replace(configs[1], n=20), replace(configs[1], m=30)]
+        kill_worker_on(monkeypatch, lambda config: config.seed == 2)
+        entries = run_grid(grid, workers=2)
+        assert [entry.config for entry in entries] == grid
+        for index in (1, 3, 4):
+            assert isinstance(entries[index], CellFailure)
+            assert entries[index].message.startswith("worker process died: ")
 
     def test_mle_mse_decreases_with_heavier_observation(self):
         configs = [
