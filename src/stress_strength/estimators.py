@@ -126,10 +126,13 @@ def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
     return z, v
 
 
-def _mle(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
-    alpha_hat = z / r1
-    beta_hat = v / r2
-    return alpha_hat / (alpha_hat + beta_hat)
+def _mle(r1: int, z: np.ndarray, r2: int, v: np.ndarray, f: float = 1.0) -> np.ndarray:
+    # 1 / (1 + w/f) for the MLE w = beta_hat/alpha_hat = (r1/r2) * (V/Z) of the
+    # odds against R: R1 at f = 1, the exact interval's bounds at its F
+    # quantiles.  V/Z is taken first, so that equal totals give w = r1/r2 at
+    # any size, and w or w/f overflows only where the value rounds to 0 anyway.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + (r1 / r2) * (v / z) / f)
 
 
 def _umvue_branch(a: int, b: int, x: np.ndarray) -> np.ndarray:
@@ -189,47 +192,27 @@ def _umvue(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
 
-def _weighted_sums(
-    scale: np.ndarray, grow: np.ndarray, weight: np.ndarray, split: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # For each i, the sums of weight[j] / (1 + scale[i] * grow[j]) over the
-    # nodes before split and over the rest.
-    head, tail = np.empty(scale.size), np.empty(scale.size)
-    rows = max(1, _CHUNK_ELEMENTS // grow.size)
-    for lo in range(0, scale.size, rows):
-        part = slice(lo, lo + rows)
-        x = np.multiply(scale[part, None], grow)
-        x += 1.0
-        np.divide(weight, x, out=x)
-        # Summed along the contiguous node axis only, so that each value's
-        # sums do not depend on the values beside it.
-        head[part] = np.add.reduce(x[:, :split], axis=-1)
-        tail[part] = np.add.reduce(x[:, split:], axis=-1)
-    return head, tail
-
-
 def _posterior_means(a1: float, zeta: np.ndarray, a2: float, tau: np.ndarray) -> np.ndarray:
     # Posterior means for shapes a1, a2 shared by all values and scale totals
     # zeta[i], tau[i]: trapezoidal rules in t = y - mode on the nodes j * step,
-    # -below <= j <= above.  Rule 0 takes the even nodes of rule 1, the first
-    # that can accept a value; each later rule adds the last one's midpoints.
+    # -below <= j <= above, each checked against the rule on its even nodes.
+    # Values on which the two disagree are redone on the rule of half the step.
     # The sd of y is sqrt(trigamma(a1) + trigamma(a2)); trigamma(a) < 1/a + 1/a**2.
     sd = math.sqrt(1.0 / a1 + 1.0 / a1**2 + 1.0 / a2 + 1.0 / a2**2)
     step = _BAYES_STEP * min(1.0, sd)
     below = 2 * math.ceil(max(_TAIL_SDS * sd, _TAIL_SHAPE_WIDTH / a1) / (2 * step))
     above = 2 * math.ceil(max(_TAIL_SDS * sd, _TAIL_SHAPE_WIDTH / a2) / (2 * step))
-    nodes = below + above + 1
     # R = 1 / (1 + scale * exp(t)), scale = (a1/a2) * (tau/zeta) taken through
     # logs.  Within the budget every node lies below t = 700 (40/a2 is at most
     # 40/54 of the span), so the cap keeps each product finite; it moves only
     # means below exp(span - 700), under 1e-268 for shapes of 1 or more.
     offset = math.log(a1 / a2) + np.log(tau) - np.log(zeta)
     scale = np.exp(np.minimum(offset, 700.0 - above * step))
-    split = (nodes + 1) // 2
     result = np.empty(scale.size)
     todo = np.arange(scale.size)
-    numer, denom, total = 0.0, 0.0, a1 + a2
+    total = a1 + a2
     while True:
+        nodes = below + above + 1
         if nodes > _BAYES_NODE_BUDGET:
             i = todo[0]
             raise NonConvergenceError(
@@ -237,27 +220,34 @@ def _posterior_means(a1: float, zeta: np.ndarray, a2: float, tau: np.ndarray) ->
                 f"{tau[i]}): the next rule needs {nodes} nodes, more than the "
                 f"{_BAYES_NODE_BUDGET} allowed"
             )
-        if split:  # rule 1, with rule 0's nodes (the even ones) first
-            j = np.arange(-below, above + 1)
-            t = np.concatenate((j[::2], j[1::2])) * step
-        else:  # the midpoints of the rule before: the odd nodes
-            t = (2 * np.arange(-below // 2, above // 2) + 1) * step
+        # The even nodes first: they are the rule of twice the step.
+        j = np.arange(-below, above + 1)
+        t = np.concatenate((j[::2], j[1::2])) * step
+        split = (nodes + 1) // 2
         # The weight exp(a1*y) / (1 + exp(y))**(a1+a2) relative to its peak;
         # it decays at rate a1 below the mode and a2 above it.
         depth, rate = np.abs(t), np.where(t < 0.0, a1, a2)
         weight = np.exp(-rate * depth - total * np.log1p(rate / total * np.expm1(-depth)))
-        head, tail = _weighted_sums(scale[todo], np.exp(t), weight, split)
-        previous = (numer + head) / (denom + weight[:split].sum())
-        numer, denom = numer + head + tail, denom + weight.sum()
-        current = numer / denom
+        grow = np.exp(t)
+        head, tail = np.empty(scale.size), np.empty(scale.size)
+        rows = max(1, _CHUNK_ELEMENTS // nodes)
+        for lo in range(0, scale.size, rows):
+            part = slice(lo, lo + rows)
+            x = np.multiply(scale[part, None], grow)
+            x += 1.0
+            np.divide(weight, x, out=x)
+            # Summed along the contiguous node axis only, so that each value's
+            # sums do not depend on the values beside it.
+            head[part] = np.add.reduce(x[:, :split], axis=-1)
+            tail[part] = np.add.reduce(x[:, split:], axis=-1)
+        previous = head / weight[:split].sum()
+        current = (head + tail) / weight.sum()
         agreed = np.abs(current - previous) <= _BAYES_AGREEMENT
         result[todo[agreed]] = current[agreed]
         if agreed.all():
             return result
-        todo, numer = todo[~agreed], numer[~agreed]
-        # Halve the step: the next rule adds the midpoints of this one.
-        nodes, step, split = 2 * nodes - 1, 0.5 * step, 0
-        below, above = 2 * below, 2 * above
+        todo, scale = todo[~agreed], scale[~agreed]
+        step, below, above = 0.5 * step, 2 * below, 2 * above
 
 
 def _estimates(
@@ -294,7 +284,9 @@ def estimate_kernel(
     when both priors are noninformative.
 
     R1 plugs the scale MLEs Z/r1 and V/r2, each a total time on test over
-    its number of observed failures, into alpha / (alpha + beta).
+    its number of observed failures, into alpha / (alpha + beta), taken as
+    1 / (1 + (r1/r2) * (V/Z)) so that totals near the largest float do
+    not overflow.
 
     R2 conditions the unbiased indicator ``1{v1 < z1}`` (first normalized
     spacings of the two samples, each exponential with its sample's scale)
@@ -332,9 +324,9 @@ def estimate_kernel(
     analytic in the strip |Im y| < pi and decays exponentially both ways,
     so the rule converges geometrically (Trefethen & Weideman, SIAM Review
     2014).  Its step is 0.2 min(1, sd), and a value is accepted once the
-    rule on every other node agrees with it to 1e-12.  Otherwise midpoints
-    are added, halving the step, until two successive rules agree; a rule
-    of more than 4096 nodes raises NonConvergenceError.
+    rule on every other node agrees with it to 1e-12.  Otherwise it is
+    redone on the rule of half the step, until two successive rules agree;
+    a rule of more than 4096 nodes raises NonConvergenceError.
     """
     z, v = _check_totals(r1, z, r2, v)
     return _estimates(r1, z, r2, v, prior_strength, prior_stress)

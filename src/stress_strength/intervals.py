@@ -88,10 +88,7 @@ def _intervals(
         tail = 0.5 * (1.0 - level)
         f_lower_tail = f_quantile(tail, 2.0 * r2, 2.0 * r1)
         f_upper_tail = f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)
-        # The pivot overflows only where both bounds round to 0 anyway.
-        with np.errstate(over="ignore"):
-            w = (r1 * v) / (r2 * z)
-            return 1.0 / (1.0 + w / f_lower_tail), 1.0 / (1.0 + w / f_upper_tail)
+        return _mle(r1, z, r2, v, f_lower_tail), _mle(r1, z, r2, v, f_upper_tail)
     r_hat = _mle(r1, z, r2, v)
     inside = (r_hat > 0.0) & (r_hat < 1.0)
     if not inside.all():

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "NonConvergenceError",
-    "reg_incomplete_beta",
     "normal_quantile",
     "f_quantile",
     "gauss_legendre",
@@ -73,19 +72,6 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             return h
     raise NonConvergenceError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
-
-
-def reg_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    return _beta_tails(a, b, x)[0]
 
 
 def _beta_tails(a: float, b: float, x: float) -> tuple[float, float, float]:

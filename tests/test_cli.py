@@ -565,6 +565,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "R1_mle 0.5"
 
+    def test_import_loads_no_test_only_package(self):
+        # scipy, mpmath, hypothesis and pytest are test dependencies only.
+        code = ("import sys, stress_strength, stress_strength.cli; "
+                "print(sorted({name.partition('.')[0] for name in sys.modules}"
+                " & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_usage_error_exit_status(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stress_strength", "ci",

@@ -129,6 +129,12 @@ class TestMleReliability:
         r1_mle = estimate_kernel(4, z, 3, v)[:, 0]
         assert ((0.0 < r1_mle) & (r1_mle < 1.0)).all()
 
+    @pytest.mark.parametrize("total", [1.0, 2.0**1000, 1e308, 1.7e308])
+    def test_equal_totals_give_half_at_any_size(self, total):
+        # The plug-in odds (r1/r2) * (V/Z) stay finite where Z/r1 + V/r2 does not.
+        assert estimate_kernel(1, [total], 1, [total])[0, 0] == 0.5
+        assert estimate_kernel(4, [total], 4, [total])[0, 0] == 0.5
+
 
 class TestUmvueReliability:
     def test_single_observation_each_is_the_indicator(self):
@@ -372,16 +378,19 @@ class TestPosteriorMeanKernel:
             assert abs(value - posterior_mean_mp_oracle(a1, 1.0, a2, ratio)) <= 1e-12
 
     def test_small_shapes_take_larger_rules(self, monkeypatch):
-        # At shapes (1, 60) the first comparison fails for tau = 3 and 10 but
-        # not for 1e-6 and 1e6; the halved rule settles the first two, and
-        # every value is still accurate.
-        calls = []
-        real_sums = estimators._weighted_sums
-        monkeypatch.setattr(estimators, "_weighted_sums",
-                            lambda *args: calls.append(args[1].size) or real_sums(*args))
+        # At shapes (1, 60) rule 1 has 301 nodes.  Its comparison with the
+        # even nodes fails for tau = 3 and 10 but not for 1e-6 and 1e6, so
+        # under a budget of 301 only the first two need the halved rule, and
+        # with its 601 nodes allowed every value is accurate.
+        ones = np.ones(3)
+        monkeypatch.setattr(estimators, "_BAYES_NODE_BUDGET", 301)
+        _posterior_means(1.0, ones[:2], 60.0, np.array([1e-6, 1e6]))
+        for tau in (3.0, 10.0):
+            with pytest.raises(NonConvergenceError, match="needs 601 nodes"):
+                _posterior_means(1.0, ones, 60.0, np.array([1e-6, tau, 1e6]))
+        monkeypatch.setattr(estimators, "_BAYES_NODE_BUDGET", 601)
         taus = np.array([1e-6, 3.0, 10.0, 1e6])
         values = _posterior_means(1.0, np.ones(4), 60.0, taus)
-        assert calls == [301, 300]  # rule 1 with rule 0, then one halving
         for got, tau in zip(values, taus):
             assert abs(got - posterior_mean_mp_oracle(1.0, 1.0, 60.0, tau)) <= 1e-12
 

@@ -188,6 +188,17 @@ class TestIntervalKernel:
         lower, upper = interval_kernel("exact", 1, [1.0, 5e-324], 1, [1.0, 1e10], 0.95)
         assert (lower[1], upper[1]) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("counts", [(1, 1), (2, 5)])
+    @pytest.mark.parametrize("total", [2.0**1000, 1e308, 1.7e308])
+    def test_equal_large_totals_give_the_bounds_at_one(self, method, counts, total):
+        # The odds (r1/r2) * (V/Z) depend on the totals only through V/Z, so
+        # they stay finite where r1 * V or Z/r1 + V/r2 does not.
+        r1, r2 = counts
+        lower, upper = interval_kernel(method, r1, [total], r2, [total], 0.95)
+        expected_lower, expected_upper = interval_kernel(method, r1, [1.0], r2, [1.0], 0.95)
+        assert (lower[0], upper[0]) == (expected_lower[0], expected_upper[0])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="method"):
             interval_kernel("bootstrap", 3, [1.0], 3, [1.0], 0.95)
