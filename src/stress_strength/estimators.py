@@ -114,7 +114,8 @@ def _unit_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
     for name, count in (("r1", r1), ("r2", r2)):
-        if not (isinstance(count, (int, np.integer)) and count >= 1):
+        if not (isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+                and count >= 1):
             raise ValueError(f"{name} must be a positive integer, got {count!r}")
     z = np.asarray(z, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -126,10 +127,13 @@ def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
     return z, v
 
 
-def _mle(r1: int, z: np.ndarray, r2: int, v: np.ndarray, f: float = 1.0) -> np.ndarray:
+def _mle(
+    r1: int, z: np.ndarray, r2: int, v: np.ndarray, f: float | np.ndarray = 1.0
+) -> np.ndarray:
     # 1 / (1 + w/f) for the MLE w = beta_hat/alpha_hat = (r1/r2) * (V/Z) of the
     # odds against R: R1 at f = 1, the exact interval's bounds at its F
-    # quantiles.  V/Z is taken first, so that equal totals give w = r1/r2 at
+    # quantiles (a column of both gives one row per bound, from one odds
+    # array).  V/Z is taken first, so that equal totals give w = r1/r2 at
     # any size, and w or w/f overflows only where the value rounds to 0 anyway.
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + (r1 / r2) * (v / z) / f)

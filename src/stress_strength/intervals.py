@@ -86,9 +86,10 @@ def _intervals(
 ) -> tuple[np.ndarray, np.ndarray]:
     if method == "exact":
         tail = 0.5 * (1.0 - level)
-        f_lower_tail = f_quantile(tail, 2.0 * r2, 2.0 * r1)
-        f_upper_tail = f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)
-        return _mle(r1, z, r2, v, f_lower_tail), _mle(r1, z, r2, v, f_upper_tail)
+        quantiles = [[f_quantile(tail, 2.0 * r2, 2.0 * r1)],
+                     [f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)]]
+        lower, upper = _mle(r1, z, r2, v, np.array(quantiles))
+        return lower, upper
     r_hat = _mle(r1, z, r2, v)
     inside = (r_hat > 0.0) & (r_hat < 1.0)
     if not inside.all():

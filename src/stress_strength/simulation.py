@@ -70,7 +70,7 @@ class SimCellConfig:
     def __post_init__(self) -> None:
         for name in ("n", "m", "r1", "r2", "replicates"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.r1 <= self.n:
             raise ValueError(f"r1 must lie in [1, n={self.n}], got {self.r1}")

@@ -247,7 +247,7 @@ def gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     rule takes O(k) memory and O(k**2) arithmetic; the negative half is the
     mirror image.
     """
-    if not (isinstance(k, int) and k >= 1):
+    if not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     i = np.arange(1, (k + 1) // 2 + 1)
     x = (1.0 - (k - 1.0) / (8.0 * k**3)) * np.cos(np.pi * (i - 0.25) / (k + 0.5))

@@ -9,17 +9,11 @@ mpmath integrates the UMVUE the other way round from the estimators.
 ``draw_dataset`` builds one censored dataset from its order statistics:
 it is the oracle for the library's ``draw_totals``, which draws only the
 totals on test.
-
-``integrate_1d`` is the adaptive Gauss-Kronrod integrator the estimators
-used before they moved to fixed rules; with the ``*_adaptive_reference``
-integrands it recomputes the earlier results, which the kernels must keep
-to 1e-10 wherever that route was accurate.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import multiprocessing
 import os
@@ -29,13 +23,13 @@ from typing import Callable, Sequence
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
+import stress_strength.sampling as sampling
 import stress_strength.simulation as simulation
 from stress_strength import (
     CensoredSample,
     ExponentialScales,
-    NonConvergenceError,
     RngStream,
     StressStrengthData,
 )
@@ -55,6 +49,22 @@ def kill_worker_on(monkeypatch, dies: Callable[[object], bool]) -> None:
     monkeypatch.setattr(simulation, "run_cell", run_cell_or_exit)
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+def fresh_draw_memo(monkeypatch) -> list[RngStream]:
+    """Give ``draw_totals`` an empty draw memo for the rest of the test, and
+    return the list, filled as the test runs, of the streams whose
+    ``generator()`` is called."""
+    monkeypatch.setattr(sampling, "_DRAWS", sampling._DrawMemo(sampling._DRAW_MEMO_VALUES))
+    calls = []
+    real_generator = RngStream.generator
+
+    def counted_generator(stream):
+        calls.append(stream)
+        return real_generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", counted_generator)
+    return calls
 
 
 def sample_with_totals(observed: int, total_time: float) -> CensoredSample:
@@ -238,126 +248,3 @@ def posterior_mean_mp_oracle(a1: float, zeta: float, a2: float, tau: float) -> f
         offsets = (0, 1, 2, 4, 8, 16, 32, 64)
         cuts = sorted({mode + j * sd for j in offsets} | {mode - j * sd for j in offsets} | {-shift})
         return float(mpmath.quad(integrand, [-mpmath.inf] + cuts + [mpmath.inf]))
-
-
-# 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1].
-# Gauss points sit at the odd indices of the Kronrod array.
-_GK_NODES = np.array([
-    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245, 0.0,
-    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_GK_WEIGHTS = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-
-
-def _gauss_kronrod_15(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
-) -> tuple[float, float]:
-    center = 0.5 * (a + b)
-    halfwidth = 0.5 * (b - a)
-    x = center + halfwidth * _GK_NODES
-    if not (a < x[0] and x[-1] < b):
-        # Keep the rule open on intervals narrow enough for rounding to
-        # push an abscissa onto an endpoint.
-        x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("integrand must map a 1-d array to an array of the same shape")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
-    kronrod = halfwidth * float(_GK_WEIGHTS @ y)
-    gauss = halfwidth * float(_GAUSS_WEIGHTS @ y[1::2])
-    # |K15 - G7| is a pessimistic proxy for the error of the K15 value.
-    return kronrod, abs(kronrod - gauss)
-
-
-def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    abs_tolerance: float = 1e-10,
-    max_subdivisions: int = 1_000_000,
-) -> float:
-    """Integrate a vectorized function over [lo, hi] by adaptive G7/K15,
-    bisecting the worst subinterval until the summed error estimate drops
-    below ``abs_tolerance``; raises NonConvergenceError past
-    ``max_subdivisions`` splits."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration limits must be finite, got [{lo}, {hi}]")
-    if lo > hi:
-        raise ValueError(f"lower limit exceeds upper limit: [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
-    value, error = _gauss_kronrod_15(f, lo, hi)
-    # Heap of (-error, tiebreak, a, b, value, error).
-    counter = 0
-    intervals = [(-error, counter, lo, hi, value, error)]
-    total_value, total_error = value, error
-    splits = 0
-    while total_error > abs_tolerance:
-        if splits >= max_subdivisions:
-            raise NonConvergenceError(
-                f"quadrature error {total_error:.3e} above tolerance {abs_tolerance:.3e} "
-                f"after {splits} subdivisions"
-            )
-        _, _, a, b, val, err = heapq.heappop(intervals)
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            raise NonConvergenceError(f"interval [{a}, {b}] cannot be bisected further")
-        left_val, left_err = _gauss_kronrod_15(f, a, mid)
-        right_val, right_err = _gauss_kronrod_15(f, mid, b)
-        total_value += left_val + right_val - val
-        total_error += left_err + right_err - err
-        counter += 1
-        heapq.heappush(intervals, (-left_err, counter, a, mid, left_val, left_err))
-        counter += 1
-        heapq.heappush(intervals, (-right_err, counter, mid, b, right_val, right_err))
-        splits += 1
-    return total_value
-
-
-def umvue_adaptive_reference(r1: int, r2: int, z_total: float, v_total: float) -> float:
-    """The UMVUE as the estimators computed it before the fixed rules, for
-    r1, r2 >= 2: the spacing integral by ``integrate_1d`` plus the tail."""
-    def integrand(t: np.ndarray) -> np.ndarray:
-        g = (r1 - 1.0) / z_total * (1.0 - t / z_total) ** (r1 - 2)
-        return g * -np.expm1((r2 - 1) * np.log1p(-t / v_total))
-
-    value = integrate_1d(integrand, 0.0, min(z_total, v_total))
-    if v_total < z_total:
-        value += math.exp((r1 - 1) * math.log1p(-v_total / z_total))
-    return min(1.0, max(0.0, value))
-
-
-def posterior_mean_adaptive_reference(a1: float, zeta: float, a2: float, tau: float) -> float:
-    """The posterior mean as the estimators computed it before the fixed
-    rules: the Beta-weighted integral over (0, 1) by ``integrate_1d``.  It
-    misses posterior peaks too narrow for its first panels to see."""
-    ln_beta_norm = special.gammaln(a1) + special.gammaln(a2) - special.gammaln(a1 + a2)
-
-    def integrand(b: np.ndarray) -> np.ndarray:
-        num = zeta * (1.0 - b)
-        ln_density = (a1 - 1.0) * np.log(b) + (a2 - 1.0) * np.log1p(-b) - ln_beta_norm
-        return num / (num + tau * b) * np.exp(ln_density)
-
-    return min(1.0, max(0.0, integrate_1d(integrand, 0.0, 1.0)))

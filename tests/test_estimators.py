@@ -11,12 +11,10 @@ from helpers import (
     apply_type2_censoring,
     data_with_totals,
     draw_dataset,
-    posterior_mean_adaptive_reference,
     posterior_mean_mc_oracle,
     posterior_mean_mp_oracle,
     posterior_mean_quad_oracle,
     totals_of,
-    umvue_adaptive_reference,
     umvue_mp_oracle,
     umvue_region_oracle,
 )
@@ -280,13 +278,13 @@ class TestUmvueKernel:
         oracle = umvue_mp_oracle(r1, r2, z, v)
         assert abs(umvue_batch(r1, [z], r2, [v])[0] - oracle) <= 1e-12
 
-    def test_matches_adaptive_route_on_criterion_3_configurations(self):
+    def test_matches_high_precision_oracle_on_criterion_3_configurations(self):
         rng = np.random.default_rng(30)
         for r1 in (2, 3, 5, 8):
             for r2 in (2, 3, 5, 8):
                 z, v = rng.uniform(0.5, 12.0, size=(2, 5))
-                reference = [umvue_adaptive_reference(r1, r2, zi, vi) for zi, vi in zip(z, v)]
-                assert np.max(np.abs(umvue_batch(r1, z, r2, v) - reference)) <= 1e-10
+                oracle = [umvue_mp_oracle(r1, r2, zi, vi) for zi, vi in zip(z, v)]
+                assert np.max(np.abs(umvue_batch(r1, z, r2, v) - oracle)) <= 1e-12
 
     def test_batch_rows_equal_single_evaluations(self):
         rng = np.random.default_rng(8)
@@ -334,8 +332,6 @@ class TestPosteriorMeanKernel:
         assert oracle == pytest.approx(rounded, rel=1e-4)
         value = posterior_mean(a1, zeta, a2, tau)
         assert abs(value - oracle) <= 1e-12 * oracle
-        # The case still reproduces the miss it guards against.
-        assert posterior_mean_adaptive_reference(a1, zeta, a2, tau) < 1e-3 * oracle
 
     def test_narrow_peak_through_estimate_all(self):
         data = draw_dataset(ExponentialScales(1.0, 6000.0), 1630, 2020, 1630, 2020,
@@ -349,7 +345,7 @@ class TestPosteriorMeanKernel:
         assert abs(estimates.r4_bayes_noninf - r4) <= 1e-12 * r4
         assert abs(estimates.r3_bayes_conjugate - r3) <= 1e-12 * r3
 
-    def test_matches_adaptive_route_on_criterion_5_configurations(self):
+    def test_matches_high_precision_oracle_on_criterion_5_configurations(self):
         priors = [
             (NONINFORMATIVE, NONINFORMATIVE),
             (GammaPrior(0.5, 0.5), GammaPrior(0.5, 1.0)),
@@ -362,9 +358,9 @@ class TestPosteriorMeanKernel:
             values = estimate_kernel(8, z, 8, v, prior_strength, prior_stress)[:, 2]
             for value, zeta, tau in zip(values, prior_strength.scale_v + z,
                                         prior_stress.scale_v + v):
-                reference = posterior_mean_adaptive_reference(
+                oracle = posterior_mean_mp_oracle(
                     prior_strength.shape_u + 8, zeta, prior_stress.shape_u + 8, tau)
-                assert abs(value - reference) <= 1e-10
+                assert abs(value - oracle) <= 1e-12
 
     # Both sides of the step's switch from 1 to the sd bound (a = 1 + sqrt(3)
     # for equal shapes), the shapes of r = 1, and unequal small shapes.
@@ -415,7 +411,7 @@ class TestEstimateKernel:
         u2=st.floats(0.5, 5.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_adaptive_route(self, r1, r2, log_ratio, u1, u2, seed):
+    def test_matches_high_precision_oracles(self, r1, r2, log_ratio, u1, u2, seed):
         # The datasets workload's range: scale ratios 1e+-3 and r up to 60.
         alpha, beta = 10.0 ** (0.5 * log_ratio), 10.0 ** (-0.5 * log_ratio)
         data = draw_dataset(ExponentialScales(alpha, beta), 2 * r1, 2 * r2, r1, r2,
@@ -423,11 +419,11 @@ class TestEstimateKernel:
         z, v = data.strength.ttt, data.stress.ttt
         prior = GammaPrior(u1, u1 * alpha), GammaPrior(u2, u2 * beta)
         got = estimate_kernel(r1, [z], r2, [v], *prior)[0]
-        if r1 > 1 and r2 > 1:
-            assert abs(got[1] - umvue_adaptive_reference(r1, r2, z, v)) <= 1e-10
-        r3 = posterior_mean_adaptive_reference(u1 + r1, u1 * alpha + z, u2 + r2, u2 * beta + v)
-        assert abs(got[2] - r3) <= 1e-10
-        assert abs(got[3] - posterior_mean_adaptive_reference(r1, z, r2, v)) <= 1e-10
+        if r2 > 1:
+            assert abs(got[1] - umvue_mp_oracle(r1, r2, z, v)) <= 1e-12
+        r3 = posterior_mean_mp_oracle(u1 + r1, u1 * alpha + z, u2 + r2, u2 * beta + v)
+        assert abs(got[2] - r3) <= 1e-12
+        assert abs(got[3] - posterior_mean_mp_oracle(r1, z, r2, v)) <= 1e-12
 
     def test_rows_equal_estimate_all(self):
         params = ExponentialScales(2.0, 3.0)
@@ -443,6 +439,8 @@ class TestEstimateKernel:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             estimate_kernel(0, [1.0], 2, [1.0])
+        with pytest.raises(ValueError):
+            estimate_kernel(True, [1.0], True, [2.0])
         with pytest.raises(ValueError):
             estimate_kernel(2, [1.0, 2.0], 2, [1.0])
         with pytest.raises(ValueError):

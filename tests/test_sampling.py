@@ -12,7 +12,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_type2_censoring, draw_dataset, draw_exponential_sample
+import stress_strength.sampling as sampling
+from helpers import apply_type2_censoring, draw_dataset, draw_exponential_sample, fresh_draw_memo
 from stress_strength import CensoredSample, ExponentialScales, RngStream, draw_totals
 
 
@@ -46,10 +47,13 @@ class TestRngStream:
         {"seed": 2**64},
         {"seed": 0, "stream_id": -3},
         {"seed": 1.5},
+        {"seed": True},
     ])
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(ValueError):
             RngStream(**{"seed": 0, **kwargs})
+        with pytest.raises(ValueError):  # the same value as a sub-stream index
+            RngStream(0).substream(kwargs.get("stream_id", kwargs["seed"]))
 
 
 class TestDrawExponentialSample:
@@ -150,7 +154,8 @@ class TestCensoredSample:
 
     # The last case would count half a censored unit in ttt.
     @pytest.mark.parametrize("times,total_units",
-                             [((), 3), ((1.0, 2.0), 1), ((0.0, 1.0), 2), ((1.0, 2.0), 2.5)])
+                             [((), 3), ((1.0, 2.0), 1), ((0.0, 1.0), 2), ((1.0, 2.0), 2.5),
+                              ((1.0,), True)])
     def test_rejects_empty_overfull_or_nonpositive(self, times, total_units):
         with pytest.raises(ValueError):
             CensoredSample(ordered_times=times, total_units=total_units)
@@ -230,7 +235,62 @@ class TestDrawTotals:
         z_again, _ = draw_totals(ExponentialScales(1.0, 1.0), 4, 9, 50, RngStream(3))
         np.testing.assert_array_equal(z, z_again)
 
-    @pytest.mark.parametrize("r1,r2,count", [(0, 3, 5), (3, -1, 5), (3, 3, 0), (2.0, 3, 5)])
+    @pytest.mark.parametrize("r1,r2,count", [(0, 3, 5), (3, -1, 5), (3, 3, 0), (2.0, 3, 5),
+                                                (True, 2, 5)])
     def test_rejects_bad_counts(self, r1, r2, count):
         with pytest.raises(ValueError):
             draw_totals(ExponentialScales(1.0, 1.0), r1, r2, count, RngStream(0))
+
+
+class TestDrawMemo:
+    """draw_totals keeps the standard gamma arrays it draws, within a budget."""
+
+    def test_hit_and_miss_equal_a_fresh_draw(self, monkeypatch):
+        calls = fresh_draw_memo(monkeypatch)
+        params, rng = ExponentialScales(1.0, 2.5), RngStream(41)
+        miss = draw_totals(params, 3, 8, 500, rng)
+        hit = draw_totals(params, 3, 8, 500, rng)
+        assert len(calls) == 2  # the second call drew nothing
+        fresh_z = rng.substream(0).generator().standard_gamma(3, 500)
+        fresh_v = 2.5 * rng.substream(1).generator().standard_gamma(8, 500)
+        for z, v in (miss, hit):
+            assert z.tobytes() == fresh_z.tobytes()
+            assert v.tobytes() == fresh_v.tobytes()
+
+    def test_kept_arrays_are_read_only(self, monkeypatch):
+        fresh_draw_memo(monkeypatch)
+        params, rng = ExponentialScales(1.0, 1.0), RngStream(42)
+        z, v = draw_totals(params, 4, 4, 100, rng)
+        expected = z.copy()
+        z[:] = -1.0
+        v[:] = -1.0
+        again, _ = draw_totals(params, 4, 4, 100, rng)
+        np.testing.assert_array_equal(again, expected)
+        kept = list(sampling._DRAWS.arrays.values())
+        assert len(kept) == 2
+        for draws in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                draws[0] = 0.0
+
+    def test_held_values_stay_within_budget(self, monkeypatch):
+        fresh_draw_memo(monkeypatch)
+        memo = sampling._DRAWS
+        assert memo.budget == 2**18  # 2 MiB of float64
+        params = ExponentialScales(1.0, 1.0)
+        count = memo.budget // 5 + 1
+        for seed in range(8):
+            draw_totals(params, 2, 3, count, RngStream(seed))
+            sizes = [draws.size for draws in memo.arrays.values()]
+            assert memo.held == sum(sizes) <= memo.budget
+        # Four arrays fit.  A hit makes seed 6's the most recently used, so
+        # seed 8's arrays evict seed 7's.
+        draw_totals(params, 2, 3, count, RngStream(6))
+        draw_totals(params, 2, 3, count, RngStream(8))
+        assert [(stream.seed, shape) for stream, shape, _ in memo.arrays] == [(6, 2), (6, 3),
+                                                                             (8, 2), (8, 3)]
+        # A draw larger than the budget is returned but not kept.
+        kept = list(memo.arrays)
+        rng, count = RngStream(99), memo.budget + 1
+        z, _ = draw_totals(params, 2, 3, count, rng)
+        assert z.tobytes() == rng.substream(0).generator().standard_gamma(2, count).tobytes()
+        assert list(memo.arrays) == kept

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fresh_draw_memo
 from stress_strength import GammaPrior
 from stress_strength.cli import parse_manifest
 
@@ -72,6 +73,14 @@ class TestRunCoverageStudy:
         assert [line.split(",")[:2] for line in lines[1:]] == [
             [method, str(size)] for method in ("exact", "asymptotic") for size in script.SIZES
         ]
+
+    def test_draws_each_shared_array_once(self, monkeypatch, tmp_path):
+        # Both methods run the same six cells of one seed: each cell's two
+        # standard gamma arrays are drawn once, not once per method.
+        calls = fresh_draw_memo(monkeypatch)
+        script = load_script("run_coverage_study")
+        assert script.main(["--out", str(tmp_path / "coverage.csv"), "--replicates", "20"]) == 0
+        assert len(calls) == 12
 
     def test_crash_leaves_earlier_table_untouched(self, monkeypatch, tmp_path):
         out = tmp_path / "coverage.csv"

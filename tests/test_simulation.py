@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stress_strength.simulation as simulation
-from helpers import kill_worker_on
+from helpers import fresh_draw_memo, kill_worker_on
 from stress_strength import (
     CellFailure,
     EstimateSet,
@@ -83,8 +83,9 @@ class TestSimCellConfig:
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, replicates=0)
-        with pytest.raises(ValueError, match="replicates must be an integer"):
-            SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, replicates=50.0)
+        for replicates in (50.0, True):
+            with pytest.raises(ValueError, match="replicates must be an integer"):
+                SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, replicates=replicates)
         with pytest.raises(ValueError):
             SimCellConfig(ExponentialScales(1.0, 1.0), 5, 5, 3, 3, seed=-1)
         with pytest.raises(ValueError):
@@ -251,6 +252,26 @@ class TestRunCoverage:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             run_coverage(small_config(replicates=5), "bootstrap")
+
+
+class TestDrawMemo:
+    def test_results_do_not_depend_on_what_the_memo_holds(self, monkeypatch):
+        # One seed throughout: the cells share sub-streams, and the second
+        # and third share one of their arrays with the first.
+        configs = [small_config(), small_config(r2=3), small_config(r1=3),
+                   small_config(replicates=150)]
+
+        def results(config):
+            return [run_cell(config)] + [run_coverage(config, method)
+                                         for method in ("exact", "asymptotic")]
+
+        cold = []
+        for config in configs:
+            fresh_draw_memo(monkeypatch)
+            cold.append(results(config))
+        fresh_draw_memo(monkeypatch)
+        for _ in range(2):
+            assert [results(config) for config in configs] == cold
 
 
 class TestRunGrid:
