@@ -18,7 +18,7 @@ from stress_strength import (
     interval_kernel,
     true_reliability,
 )
-from stress_strength.specfun import normal_quantile
+from stress_strength.specfun import f_quantile, normal_quantile
 
 
 def asymptotic_half_width(r1, z, r2, v, level=0.95):
@@ -198,6 +198,23 @@ class TestIntervalKernel:
         lower, upper = interval_kernel(method, r1, [total], r2, [total], 0.95)
         expected_lower, expected_upper = interval_kernel(method, r1, [1.0], r2, [1.0], 0.95)
         assert (lower[0], upper[0]) == (expected_lower[0], expected_upper[0])
+
+    @pytest.mark.parametrize("counts", [(1, 1), (2, 5), (8, 3), (40, 40)])
+    def test_exact_bounds_are_the_odds_at_each_f_quantile(self, counts):
+        # Both bounds come from one odds array; each must equal 1/(1 + w/F)
+        # evaluated on its own, also where V/Z or w/F overflows or underflows.
+        r1, r2 = counts
+        z, v = (grid.ravel() for grid in np.meshgrid(np.geomspace(1e-300, 1.7e308, 61),
+                                                      np.geomspace(1e-300, 1.7e308, 67)))
+        lower, upper = interval_kernel("exact", r1, z, r2, v, 0.95)
+        tail = 0.5 * (1.0 - 0.95)
+        for bound, tail in ((lower, tail), (upper, 1.0 - tail)):
+            f = f_quantile(tail, 2.0 * r2, 2.0 * r1)
+            with np.errstate(over="ignore"):
+                expected = 1.0 / (1.0 + (r1 / r2) * (v / z) / f)
+            assert bound.tobytes() == expected.tobytes()
+        assert np.all(lower <= upper)
+        assert lower.min() == 0.0 and upper.max() == 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="method"):

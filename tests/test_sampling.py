@@ -48,6 +48,7 @@ class TestRngStream:
         {"seed": 0, "stream_id": -3},
         {"seed": 1.5},
         {"seed": True},
+        {"seed": 0, "stream_id": True},
     ])
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -155,7 +156,7 @@ class TestCensoredSample:
     # The last case would count half a censored unit in ttt.
     @pytest.mark.parametrize("times,total_units",
                              [((), 3), ((1.0, 2.0), 1), ((0.0, 1.0), 2), ((1.0, 2.0), 2.5),
-                              ((1.0,), True)])
+                              ((1.0,), True), ((1.0,), np.True_)])
     def test_rejects_empty_overfull_or_nonpositive(self, times, total_units):
         with pytest.raises(ValueError):
             CensoredSample(ordered_times=times, total_units=total_units)
@@ -236,7 +237,7 @@ class TestDrawTotals:
         np.testing.assert_array_equal(z, z_again)
 
     @pytest.mark.parametrize("r1,r2,count", [(0, 3, 5), (3, -1, 5), (3, 3, 0), (2.0, 3, 5),
-                                                (True, 2, 5)])
+                                                (True, 2, 5), (3, True, 5), (3, 3, True)])
     def test_rejects_bad_counts(self, r1, r2, count):
         with pytest.raises(ValueError):
             draw_totals(ExponentialScales(1.0, 1.0), r1, r2, count, RngStream(0))
@@ -256,6 +257,45 @@ class TestDrawMemo:
         for z, v in (miss, hit):
             assert z.tobytes() == fresh_z.tobytes()
             assert v.tobytes() == fresh_v.tobytes()
+
+    # r1 == r2 reads two arrays of one shape and count: the sub-stream keeps
+    # them apart.
+    @pytest.mark.parametrize("r1,r2,count,seed", [(1, 1, 1, 0), (5, 5, 300, 7),
+                                                  (2, 40, 2999, 2**64 - 1), (1000, 3, 64, 12345)])
+    def test_kept_draws_equal_fresh_draws(self, monkeypatch, r1, r2, count, seed):
+        fresh_draw_memo(monkeypatch)
+        params, rng = ExponentialScales(0.5, 3.0), RngStream(seed)
+        draws = [draw_totals(params, r1, r2, count, rng) for _ in range(2)]
+        fresh_z = 0.5 * rng.substream(0).generator().standard_gamma(r1, count)
+        fresh_v = 3.0 * rng.substream(1).generator().standard_gamma(r2, count)
+        for z, v in draws:
+            assert z.tobytes() == fresh_z.tobytes()
+            assert v.tobytes() == fresh_v.tobytes()
+
+    # Each second call differs from the first in one argument.  Only new
+    # scales, or the same count as a numpy integer, leave both arrays shared.
+    @pytest.mark.parametrize("change,new_draws", [
+        ({"params": ExponentialScales(4.0, 0.5)}, 0),
+        ({"count": np.int64(500)}, 0),
+        ({"r1": 4}, 1),
+        ({"r2": 9}, 1),
+        ({"count": 501}, 2),
+        ({"rng": RngStream(42)}, 2),
+        ({"rng": RngStream(41, 1)}, 2),
+    ])
+    def test_each_key_field_selects_its_own_array(self, monkeypatch, change, new_draws):
+        calls = fresh_draw_memo(monkeypatch)
+        first = {"params": ExponentialScales(1.0, 2.5), "r1": 3, "r2": 8, "count": 500,
+                 "rng": RngStream(41)}
+        draw_totals(**first)
+        second = {**first, **change}
+        z, v = draw_totals(**second)
+        assert len(calls) == 2 + new_draws
+        params, rng, count = second["params"], second["rng"], second["count"]
+        fresh_z = params.alpha * rng.substream(0).generator().standard_gamma(second["r1"], count)
+        fresh_v = params.beta * rng.substream(1).generator().standard_gamma(second["r2"], count)
+        assert z.tobytes() == fresh_z.tobytes()
+        assert v.tobytes() == fresh_v.tobytes()
 
     def test_kept_arrays_are_read_only(self, monkeypatch):
         fresh_draw_memo(monkeypatch)

@@ -61,6 +61,17 @@ class TestRunTableGrids:
             for copies in by_counts.values():
                 assert all(copy == copies[0] for copy in copies)
 
+    def test_draws_each_shared_array_once(self, monkeypatch, tmp_path):
+        # Every cell has one seed and one replicate count, so the study reads
+        # one strength array per distinct r1 and one stress array per r2.
+        calls = fresh_draw_memo(monkeypatch)
+        script = load_script("run_table_grids")
+        argv = ["--outdir", str(tmp_path), "--replicates", "20", "--seed", "3"]
+        assert script.main(argv) == 0
+        layouts = [script.EQUAL_ROWS, script.UNEQUAL_ROWS]
+        distinct = sum(len({row[i] for rows in layouts for row in rows}) for i in (2, 3))
+        assert len(calls) == distinct == 38
+
 
 class TestRunCoverageStudy:
     def test_writes_header_and_twelve_rows(self, tmp_path):
