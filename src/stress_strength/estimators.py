@@ -106,9 +106,9 @@ def true_reliability(params: ExponentialScales) -> float:
 
 
 @lru_cache(maxsize=None)
-def _unit_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k-point Gauss-Legendre rule on [0, 1]."""
-    x, w = gauss_legendre(k)
+def _unit_rule(k: int, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The count smallest nodes and weights of the k-point Gauss-Legendre rule on [0, 1]."""
+    x, w = gauss_legendre(k, count)
     return 0.5 * (1.0 + x), 0.5 * w
 
 
@@ -128,15 +128,16 @@ def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mle(
-    r1: int, z: np.ndarray, r2: int, v: np.ndarray, f: float | np.ndarray = 1.0
+    r1: int, z: np.ndarray, r2: int, v: np.ndarray, f: np.ndarray | None = None
 ) -> np.ndarray:
     # 1 / (1 + w/f) for the MLE w = beta_hat/alpha_hat = (r1/r2) * (V/Z) of the
-    # odds against R: R1 at f = 1, the exact interval's bounds at its F
-    # quantiles (a column of both gives one row per bound, from one odds
+    # odds against R: R1 without f (f = 1), the exact interval's bounds at its
+    # F quantiles (a column of both gives one row per bound, from one odds
     # array).  V/Z is taken first, so that equal totals give w = r1/r2 at
     # any size, and w or w/f overflows only where the value rounds to 0 anyway.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + (r1 / r2) * (v / z) / f)
+        w = (r1 / r2) * (v / z)
+        return 1.0 / (1.0 + (w if f is None else w / f))
 
 
 def _umvue_branch(a: int, b: int, x: np.ndarray) -> np.ndarray:
@@ -149,28 +150,30 @@ def _umvue_branch(a: int, b: int, x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return -np.expm1((b - 1) * np.log1p(-x))
     k = 1 << (-(-(a + b - 2) // 2) - 1).bit_length()
-    s, w = _unit_rule(k)
-    if a > 2:
-        # The bracket lies in [0, 1] and the weights sum to 1, so the nodes
-        # beyond cut, where (a-1)(1-s)**(a-2) < 2**-60, add at most 2**-60.
-        cut = -math.expm1((_UMVUE_LOG_TRIM - math.log(a - 1)) / (a - 2))
-        if cut < s[-1]:
-            kept = int(np.searchsorted(s, cut, side="right"))
-            s, w = s[:kept], w[:kept]
-    neg_s = -s
-    # The density of z1 times the weights, shared by every value, and
-    # negated because expm1 below gives minus the bracket.
-    factor = (1 - a) * w * np.exp((a - 2) * np.log1p(neg_s))
+    # The bracket lies in [0, 1] and the weights sum to 1, so the nodes
+    # beyond cut, where (a-1)(1-s)**(a-2) < 2**-60, add at most 2**-60.
+    cut = -math.expm1((_UMVUE_LOG_TRIM - math.log(a - 1)) / (a - 2)) if a > 2 else 1.0
+    # Node i = 1, 2, ... is (1 - cos theta_i) / 2, theta_i > (i - 1/2) pi / (k + 1/2)
+    # (Szego, Orthogonal Polynomials, 6.21.5), so fewer than n lie at or below
+    # cut; only the smallest n are built, up to a power of two to share rules.
+    n = int(math.acos(1.0 - 2.0 * cut) * (k + 0.5) / math.pi + 1.5)
+    s, w = _unit_rule(k, min(k, 1 << (n - 1).bit_length()))
+    kept = int(s.searchsorted(cut, "right")) if cut < s[-1] else s.size
+    # The kept nodes as one row, which broadcasts cheaply against a column
+    # of values, and the density of z1 times the weights, shared by every
+    # value and negated because expm1 below gives minus the bracket.
+    neg_s = -s[None, :kept]
+    factor = (1.0 - a) * w[None, :kept] * np.exp((a - 2.0) * np.log1p(neg_s))
     out = np.empty_like(x)
-    rows = max(1, _CHUNK_ELEMENTS // s.size)
+    rows = max(1, _CHUNK_ELEMENTS // kept)
     for lo in range(0, x.size, rows):
         part = slice(lo, lo + rows)
         t = np.multiply(x[part, None], neg_s)
         np.log1p(t, out=t)
-        t *= b - 1
+        t *= b - 1.0
         np.expm1(t, out=t)
         t *= factor
-        out[part] = t.sum(axis=1)
+        np.add.reduce(t, axis=1, out=out[part])
     return out
 
 
@@ -182,21 +185,24 @@ def _umvue(r1: int, z: np.ndarray, r2: int, v: np.ndarray) -> np.ndarray:
     # = 1 - H(r2, r1, V/Z), the same kernel with the samples swapped.
     mirrored = v < z
     flipped = np.count_nonzero(mirrored)
-    x = np.minimum(z, v) / np.maximum(z, v)
-    if r1 == r2 or flipped in (0, x.size):
-        # One branch shape serves every value.
-        a, b = (r2, r1) if flipped else (r1, r2)
-        out = _umvue_branch(a, b, x)
+    if flipped in (0, z.size):
+        # Every value on one side: one quotient and one branch shape.
+        out = 1.0 - _umvue_branch(r2, r1, v / z) if flipped else _umvue_branch(r1, r2, z / v)
     else:
-        out = np.empty_like(x)
-        out[~mirrored] = _umvue_branch(r1, r2, x[~mirrored])
-        out[mirrored] = _umvue_branch(r2, r1, x[mirrored])
-    if flipped:
+        x = np.minimum(z, v) / np.maximum(z, v)
+        if r1 == r2:  # one branch shape serves both sides
+            out = _umvue_branch(r1, r2, x)
+        else:
+            out = np.empty_like(x)
+            out[~mirrored] = _umvue_branch(r1, r2, x[~mirrored])
+            out[mirrored] = _umvue_branch(r2, r1, x[mirrored])
         np.subtract(1.0, out, out=out, where=mirrored)
-    return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
-def _posterior_means(a1: float, zeta: np.ndarray, a2: float, tau: np.ndarray) -> np.ndarray:
+def _posterior_means(
+    a1: float, zeta: np.ndarray, a2: float, tau: np.ndarray, halvings: int = 0
+) -> np.ndarray:
     # Posterior means for shapes a1, a2 shared by all values and scale totals
     # zeta[i], tau[i]: trapezoidal rules in t = y - mode on the nodes j * step,
     # -below <= j <= above, each checked against the rule on its even nodes.
@@ -212,46 +218,42 @@ def _posterior_means(a1: float, zeta: np.ndarray, a2: float, tau: np.ndarray) ->
     # means below exp(span - 700), under 1e-268 for shapes of 1 or more.
     offset = math.log(a1 / a2) + np.log(tau) - np.log(zeta)
     scale = np.exp(np.minimum(offset, 700.0 - above * step))
-    result = np.empty(scale.size)
-    todo = np.arange(scale.size)
+    step, below, above = step * 0.5**halvings, below << halvings, above << halvings
+    nodes = below + above + 1
+    if nodes > _BAYES_NODE_BUDGET:
+        raise NonConvergenceError(
+            f"posterior mean with shapes ({a1}, {a2}) and scale totals ({zeta[0]}, "
+            f"{tau[0]}): the next rule needs {nodes} nodes, more than the "
+            f"{_BAYES_NODE_BUDGET} allowed"
+        )
+    # The even nodes in one row: they are the rule of twice the step.  The
+    # odd nodes in another, padded at the end with a node of weight 0.
+    t = step * np.arange(-below, above + 2.0).reshape(-1, 2).T.copy()
+    # The weight exp(a1*y) / (1 + exp(y))**(a1+a2) relative to its peak is
+    # exp(a1*t) / (1 + a1/(a1+a2) * expm1(t))**(a1+a2), or that with -t and a2
+    # for t and a1; the smaller shape is taken, whose log cancels the least.
     total = a1 + a2
-    while True:
-        nodes = below + above + 1
-        if nodes > _BAYES_NODE_BUDGET:
-            i = todo[0]
-            raise NonConvergenceError(
-                f"posterior mean with shapes ({a1}, {a2}) and scale totals ({zeta[i]}, "
-                f"{tau[i]}): the next rule needs {nodes} nodes, more than the "
-                f"{_BAYES_NODE_BUDGET} allowed"
-            )
-        # The even nodes first: they are the rule of twice the step.
-        j = np.arange(-below, above + 1)
-        t = np.concatenate((j[::2], j[1::2])) * step
-        split = (nodes + 1) // 2
-        # The weight exp(a1*y) / (1 + exp(y))**(a1+a2) relative to its peak;
-        # it decays at rate a1 below the mode and a2 above it.
-        depth, rate = np.abs(t), np.where(t < 0.0, a1, a2)
-        weight = np.exp(-rate * depth - total * np.log1p(rate / total * np.expm1(-depth)))
-        grow = np.exp(t)
-        head, tail = np.empty(scale.size), np.empty(scale.size)
-        rows = max(1, _CHUNK_ELEMENTS // nodes)
-        for lo in range(0, scale.size, rows):
-            part = slice(lo, lo + rows)
-            x = np.multiply(scale[part, None], grow)
-            x += 1.0
-            np.divide(weight, x, out=x)
-            # Summed along the contiguous node axis only, so that each value's
-            # sums do not depend on the values beside it.
-            head[part] = np.add.reduce(x[:, :split], axis=-1)
-            tail[part] = np.add.reduce(x[:, split:], axis=-1)
-        previous = head / weight[:split].sum()
-        current = (head + tail) / weight.sum()
-        agreed = np.abs(current - previous) <= _BAYES_AGREEMENT
-        result[todo[agreed]] = current[agreed]
-        if agreed.all():
-            return result
-        todo, scale = todo[~agreed], scale[~agreed]
-        step, below, above = 0.5 * step, 2 * below, 2 * above
+    shape, u = (a1, t) if a1 <= a2 else (a2, -t)
+    weight = np.exp(shape * u - total * np.log1p(shape / total * np.expm1(u)))
+    weight[1, -1] = 0.0
+    grow = np.exp(t)
+    sums = np.empty((2, scale.size))
+    rows = max(1, _CHUNK_ELEMENTS // nodes)
+    for lo in range(0, scale.size, rows):
+        part = slice(lo, lo + rows)
+        x = np.multiply(scale[part, None, None], grow)
+        x += 1.0
+        np.divide(weight, x, out=x)
+        # Summed along the contiguous node axis only, so that each value's
+        # sums do not depend on the values beside it.
+        np.add.reduce(x, axis=-1, out=sums[:, part].T)
+    even, odd = np.add.reduce(weight, axis=-1).tolist()
+    means = (sums[0] + sums[1]) / (even + odd)
+    agreed = np.abs(means - sums[0] / even) <= _BAYES_AGREEMENT
+    if np.count_nonzero(agreed) < agreed.size:
+        redo = ~agreed
+        means[redo] = _posterior_means(a1, zeta[redo], a2, tau[redo], halvings + 1)
+    return means
 
 
 def _estimates(

@@ -88,15 +88,13 @@ def _intervals(
         tail = 0.5 * (1.0 - level)
         quantiles = [[f_quantile(tail, 2.0 * r2, 2.0 * r1)],
                      [f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)]]
-        lower, upper = _mle(r1, z, r2, v, np.array(quantiles))
-        return lower, upper
+        return tuple(_mle(r1, z, r2, v, np.array(quantiles)))
     r_hat = _mle(r1, z, r2, v)
-    inside = (r_hat > 0.0) & (r_hat < 1.0)
-    if not inside.all():
-        bad = float(r_hat[np.argmin(inside)])
+    spread = r_hat * (1.0 - r_hat)  # above 0 exactly where r_hat lies inside (0, 1)
+    if np.count_nonzero(spread > 0.0) < spread.size:
+        bad = float(r_hat[np.argmin(spread > 0.0)])
         raise ValueError(f"r_hat must lie strictly inside (0, 1), got {bad}")
-    sigma = r_hat * (1.0 - r_hat) * math.sqrt(1.0 / r1 + 1.0 / r2)
-    half = normal_quantile(0.5 * (1.0 + level)) * sigma
+    half = normal_quantile(0.5 * (1.0 + level)) * (spread * math.sqrt(1.0 / r1 + 1.0 / r2))
     return np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)
 
 

@@ -48,9 +48,10 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         d = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    for m in map(float, range(1, _CF_MAX_ITER + 1)):  # float m mixes faster with floats
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
         if abs(d) < _CF_TINY:
             d = _CF_TINY
@@ -59,7 +60,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             c = _CF_TINY
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
         if abs(d) < _CF_TINY:
             d = _CF_TINY
@@ -74,11 +75,11 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise NonConvergenceError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
 
 
-def _beta_tails(a: float, b: float, x: float) -> tuple[float, float, float]:
-    # (I_x(a, b), 1 - I_x(a, b), x**a * (1 - x)**b / B(a, b)) for 0 < x < 1.
-    # The continued fraction gives one tail directly, to full relative
-    # precision; the other is its complement.
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+def _beta_tails(a: float, b: float, x: float, log_beta: float) -> tuple[float, float, float]:
+    # (I_x(a, b), 1 - I_x(a, b), x**a * (1 - x)**b / B(a, b)) for 0 < x < 1,
+    # given log_beta = log B(a, b).  The continued fraction gives one tail
+    # directly, to full relative precision; the other is its complement.
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
     if x < (a + 1.0) / (a + b + 2.0):
         lower = front * _beta_continued_fraction(a, b, x) / a
         return lower, 1.0 - lower, front
@@ -105,10 +106,8 @@ def _stirling_remainder(x: float) -> float:
     # lgamma(x) - ((x - 0.5) log x - x + log sqrt(2 pi)) for x >= 10, by
     # Stirling's series; the first term left out is below 4e-17.
     t = 1.0 / (x * x)
-    total = 0.0
-    for c in _STIRLING_COEFFICIENTS:
-        total = total * t + c
-    return total / x
+    c0, c1, c2, c3, c4, c5, c6 = _STIRLING_COEFFICIENTS
+    return ((((((c0 * t + c1) * t + c2) * t + c3) * t + c4) * t + c5) * t + c6) / x
 
 
 @lru_cache(maxsize=8192)
@@ -126,7 +125,9 @@ def f_quantile(p: float, d1: float, d2: float) -> float:
 
     F = (d2 * x) / (d1 * (1 - x)), where I_x(d1/2, d2/2) = p is solved by
     :func:`_beta_quantile`, so the quantile is as accurate as the incomplete
-    beta function in whichever tail is the smaller.
+    beta function in whichever tail is the smaller.  The search stops once
+    two Halley steps in a row put the next correction below rounding, so a
+    quantile typically takes two evaluations of the incomplete beta.
 
     Degrees of freedom above 1e6 are rejected: larger shapes stall the
     incomplete beta's continued fraction near the mean.  With p from 1e-10
@@ -151,19 +152,21 @@ def _beta_quantile(p: float, a: float, b: float) -> tuple[float, float]:
     # beta density front / (t (1 - t)); a step that leaves the bracket
     # [lo, hi] kept from the residual signs, or shrinks by less than half,
     # becomes a bisection step (geometric while the bracket is wide), so the
-    # search ends wherever bisection would.
+    # search ends wherever bisection would.  Two Halley steps in a row whose
+    # cubic rate puts the next correction below rounding end it at once.
     q = 1.0 - p
     x, y = _beta_guess(p, q, a, b)
     swapped = y < x
     if swapped:
         a, b, p, q, x = b, a, q, p, y
     t = x if 0.0 < x < 1.0 else 0.5
-    lo, hi, step = 0.0, 1.0, 1.0
+    log_beta = _log_beta(a, b)  # symmetric, so unchanged when the shapes swap
+    lo, hi, step, halley = 0.0, 1.0, 1.0, False
     for _ in range(_QUANTILE_MAX_ITER):
         if t > 0.5:  # carry on in the complement, which is exact here
             a, b, p, q, swapped = b, a, q, p, not swapped
             t, lo, hi = 1.0 - t, 1.0 - hi, 1.0 - lo
-        lower_tail, upper_tail, front = _beta_tails(a, b, t)
+        lower_tail, upper_tail, front = _beta_tails(a, b, t, log_beta)
         residual = q - upper_tail if p > 0.5 else lower_tail - p  # increasing in t
         if residual == 0.0:
             break
@@ -186,8 +189,12 @@ def _beta_quantile(p: float, a: float, b: float) -> tuple[float, float]:
             t = min(max(new, lo), hi)
             break
         if lo < new < hi and abs(step) <= 0.5 * abs(previous):
-            t = new
+            if halley and step**4 <= 1e-17 * t * abs(previous) ** 3:
+                t = new
+                break
+            t, halley = new, True
             continue
+        halley = False
         # Bisect in log t while the bracket spans more than a factor of 16,
         # so that a root orders of magnitude below hi is not walked down
         # to one halving at a time.
@@ -238,18 +245,21 @@ def _legendre_with_derivative(k: int, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return current, k * (x * current - previous) / ((x - 1.0) * (x + 1.0))
 
 
-def gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(k: int, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (increasing) and weights of the k-point Gauss-Legendre rule on
-    [-1, 1]; exact for polynomials of degree up to 2k - 1.
+    [-1, 1], exact for polynomials of degree up to 2k - 1: the ``count``
+    smallest nodes, or all k by default.
 
     The nonnegative roots of P_k start from Tricomi's approximation and are
-    polished by Newton's method on the three-term recurrence, so building a
-    rule takes O(k) memory and O(k**2) arithmetic; the negative half is the
-    mirror image.
+    polished by Newton's method on the three-term recurrence; the negative
+    half is the mirror image.  Only the roots that the returned nodes need
+    are polished, so ``count`` nodes take O(count) memory and O(k * count)
+    arithmetic; the largest root converges last, so each node is the full rule's.
     """
-    if not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    i = np.arange(1, (k + 1) // 2 + 1)
+    count = k if count is None else count
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (k, count)):
+        raise ValueError(f"k and count must be positive integers, got {k!r} and {count!r}")
+    i = np.arange(1, min(count, (k + 1) // 2) + 1)
     x = (1.0 - (k - 1.0) / (8.0 * k**3)) * np.cos(np.pi * (i - 0.25) / (k + 0.5))
     for _ in range(100):
         p, dp = _legendre_with_derivative(k, x)
@@ -259,12 +269,11 @@ def gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
             break
     else:
         raise NonConvergenceError(f"Gauss-Legendre nodes for k={k} did not converge")
-    if k % 2:
+    if k % 2 and 2 * x.size > k:
         x[-1] = 0.0  # the middle root of an odd-degree P_k
     _, dp = _legendre_with_derivative(k, x)
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     # x runs from the largest root down; mirror it onto the negative half.
-    mirrored = slice(None, -1) if k % 2 else slice(None)
-    nodes = np.concatenate((-x[mirrored], x[::-1]))
-    weights = np.concatenate((w[mirrored], w[::-1]))
+    nodes = np.concatenate((-x[: k // 2], x[::-1]))[:count]
+    weights = np.concatenate((w[: k // 2], w[::-1]))[:count]
     return nodes, weights

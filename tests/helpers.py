@@ -27,6 +27,7 @@ from scipy import integrate, stats
 
 import stress_strength.sampling as sampling
 import stress_strength.simulation as simulation
+import stress_strength.specfun as specfun
 from stress_strength import (
     CensoredSample,
     ExponentialScales,
@@ -65,6 +66,21 @@ def fresh_draw_memo(monkeypatch) -> list[RngStream]:
 
     monkeypatch.setattr(RngStream, "generator", counted_generator)
     return calls
+
+
+def beta_tails_spy(monkeypatch) -> list[float]:
+    """Count the incomplete beta evaluations of ``f_quantile`` for the rest of
+    the test: return the list, filled as the test runs, of the points at
+    which ``_beta_tails`` is evaluated."""
+    points = []
+    real_tails = specfun._beta_tails
+
+    def counted_tails(a, b, x, log_beta):
+        points.append(x)
+        return real_tails(a, b, x, log_beta)
+
+    monkeypatch.setattr(specfun, "_beta_tails", counted_tails)
+    return points
 
 
 def sample_with_totals(observed: int, total_time: float) -> CensoredSample:

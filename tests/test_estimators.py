@@ -1,5 +1,6 @@
 """Point estimators: exact values, oracle comparisons, and invariances."""
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from stress_strength import (
     true_reliability,
 )
 import stress_strength.estimators as estimators
+import stress_strength.specfun as specfun
 from stress_strength.estimators import _posterior_means, _umvue, _umvue_branch, _unit_rule
 
 
@@ -238,6 +240,30 @@ class TestEstimateAll:
         assert informative.r3_bayes_conjugate == pytest.approx(0.25881179697107126, abs=1e-10)
         assert informative.r4_bayes_noninf == estimates.r4_bayes_noninf
 
+    @pytest.mark.parametrize("r1", [1, 2, 3, 17, 60, 1000])
+    @pytest.mark.parametrize("r2", [1, 2, 3, 17, 60, 1000])
+    def test_r4_does_not_depend_on_the_prior(self, r1, r2):
+        # R4 is the posterior mean under the 1/scale prior whatever prior R3
+        # is given: the same bits in a batch and one dataset at a time.
+        rng = np.random.default_rng(r1 * 7919 + r2)
+        ratios = np.logspace(-6.0, 6.0, 25)
+        z = np.exp(rng.uniform(-5.0, 5.0, ratios.size))
+        v = z * ratios
+        plain = estimate_kernel(r1, z, r2, v)[:, 3].tolist()
+        priors = [
+            (GammaPrior(2.0, 4.0), GammaPrior(2.0, 5.0)),
+            (GammaPrior(0.5, 1e-3), NONINFORMATIVE),
+            (NONINFORMATIVE, GammaPrior(40.0, 1e4)),
+        ]
+        for prior in priors:
+            assert estimate_kernel(r1, z, r2, v, *prior)[:, 3].tolist() == plain
+        for i in range(0, ratios.size, 6):
+            data = data_with_totals(r1, r2, z[i], v[i])
+            alone = estimate_kernel(r1, [data.strength.ttt], r2, [data.stress.ttt])[0, 3]
+            assert estimate_all(data).r4_bayes_noninf == alone
+            for prior in priors:
+                assert estimate_all(data, *prior).r4_bayes_noninf == alone
+
     def test_all_estimates_in_unit_interval_on_random_datasets(self):
         rng = np.random.default_rng(2024)
         for i in range(5000):
@@ -308,6 +334,18 @@ class TestUmvueKernel:
         trimmed = _umvue_branch(a, b, x)
         assert np.max(np.abs(trimmed - full)) <= 2.0**-60 + 1e-15
 
+    def test_large_counts_polish_only_the_nodes_they_keep(self, monkeypatch):
+        # At r1 = r2 = 10**4 the rule has 16384 nodes and the trimmed UMVUE
+        # keeps 743 of them; only the 1024 smallest are built.
+        polished = []
+        real = specfun._legendre_with_derivative
+        monkeypatch.setattr(specfun, "_legendre_with_derivative",
+                            lambda k, x: polished.append((k, x.size)) or real(k, x))
+        monkeypatch.setattr(estimators, "_unit_rule",
+                            functools.lru_cache(maxsize=None)(_unit_rule.__wrapped__))
+        value = r2_umvue(10**4, 1.0, 10**4, 1.01)
+        assert {k for k, _ in polished} == {16384} and max(size for _, size in polished) == 1024
+        assert abs(value - umvue_mp_oracle(10**4, 10**4, 1.0, 1.01)) <= 1e-12
 
 
 class TestPosteriorMeanKernel:

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from helpers import beta_tails_spy
+
 import stress_strength.specfun as specfun
 from stress_strength.specfun import (
     NonConvergenceError,
@@ -21,12 +23,12 @@ from stress_strength.specfun import (
 
 
 def incomplete_beta(a, b, x):
-    return specfun._beta_tails(a, b, x)[0]
+    return specfun._beta_tails(a, b, x, specfun._log_beta(a, b))[0]
 
 
 class TestRegIncompleteBeta:
     def test_uniform_case(self):
-        lower, upper, front = specfun._beta_tails(1.0, 1.0, 0.3)
+        lower, upper, front = specfun._beta_tails(1.0, 1.0, 0.3, 0.0)
         assert lower == pytest.approx(0.3, abs=1e-14)
         assert upper == pytest.approx(0.7, abs=1e-14)
         assert front == pytest.approx(0.21, abs=1e-14)
@@ -71,6 +73,15 @@ class TestRegIncompleteBeta:
         xs = np.linspace(0.01, 0.99, 50)
         values = [incomplete_beta(3.0, 5.0, float(x)) for x in xs]
         assert all(v1 < v2 for v1, v2 in zip(values, values[1:]))
+
+
+def interval_traffic(counts):
+    """Every (p, d1, d2) that exact_ci asks f_quantile for with r1 and r2 in
+    counts, at the levels 0.8, 0.9, 0.95 and 0.99."""
+    r1, r2, level = np.meshgrid(counts, counts, [0.8, 0.9, 0.95, 0.99])
+    tail = 0.5 * (1.0 - level.ravel())
+    p = np.concatenate((tail, 1.0 - tail))
+    return p, np.tile(2.0 * r2.ravel(), 2), np.tile(2.0 * r1.ravel(), 2)
 
 
 def _normal_cdf_by_simpson(z: float) -> float:
@@ -180,21 +191,31 @@ class TestFQuantile:
         expected = scipy.stats.f.ppf(p, d1, d2)
         assert abs(f_quantile(p, d1, d2) - expected) <= 1e-12 * expected
 
-    @pytest.mark.parametrize("counts", [
-        pytest.param(range(1, 61), id="r-1-to-60"),
+    @pytest.mark.parametrize("counts, tolerance", [
+        pytest.param(range(1, 61), 1e-13, id="r-1-to-60"),
         # One count small and the other large cancelled in the log-beta.
-        pytest.param([1, 2, 3, 10, 60, 200, 1000, 2000, 5000, 10**4], id="r-up-to-1e4"),
+        pytest.param([1, 2, 3, 10, 60, 200, 1000, 2000, 5000, 10**4], 1e-12, id="r-up-to-1e4"),
     ])
-    def test_matches_reference_on_interval_traffic(self, counts):
-        # Every quantile exact_ci asks for with r1, r2 in counts.
-        r1, r2, level = np.meshgrid(counts, counts, [0.8, 0.9, 0.95, 0.99])
-        tail = 0.5 * (1.0 - level.ravel())
-        p = np.concatenate((tail, 1.0 - tail))
-        d1 = np.tile(2.0 * r2.ravel(), 2)
-        d2 = np.tile(2.0 * r1.ravel(), 2)
+    def test_matches_reference_on_interval_traffic(self, counts, tolerance):
+        p, d1, d2 = interval_traffic(counts)
         expected = scipy.stats.f.ppf(p, d1, d2)
         got = np.array([f_quantile(*args) for args in zip(p.tolist(), d1.tolist(), d2.tolist())])
-        assert np.max(np.abs(got - expected) / expected) <= 1e-12
+        assert np.max(np.abs(got - expected) / expected) <= tolerance
+
+    def test_interval_traffic_takes_two_evaluations_per_quantile(self, monkeypatch,
+                                                                  cold_quantiles):
+        # One evaluation at the guess and one after the first Halley step is
+        # the rule: once two Halley steps in a row put the next correction
+        # below rounding, the search stops without evaluating its last iterate.
+        points = beta_tails_spy(monkeypatch)
+        p, d1, d2 = interval_traffic(range(1, 61))
+        counts = []
+        for args in zip(p.tolist(), d1.tolist(), d2.tolist()):
+            f_quantile.cache_clear()
+            points.clear()
+            f_quantile(*args)
+            counts.append(len(points))
+        assert np.mean(counts) <= 2.1 and max(counts) <= 4, (np.mean(counts), max(counts))
 
     def test_matches_reference_over_wide_grid(self):
         dfs = [1.0, 2.0, 3.0, 8.0, 40.0, 120.0, 400.0, 2000.0]
@@ -208,10 +229,7 @@ class TestFQuantile:
         # Far lower tails, such as p = 1e-10 at d1 = 3, put the root many
         # decades below the bracket's upper end; bisecting in log t keeps
         # the search short there.
-        real_tails = specfun._beta_tails
-        calls = []
-        monkeypatch.setattr(specfun, "_beta_tails",
-                            lambda a, b, x: calls.append(x) or real_tails(a, b, x))
+        calls = beta_tails_spy(monkeypatch)
         dfs = [1.0, 2.0, 3.0, 8.0, 40.0, 120.0, 400.0, 2000.0]
         worst = (0, None)
         for p in [1e-10, 1e-6, 0.005, 0.1, 0.5, 0.9, 0.995, 1.0 - 1e-6]:
@@ -254,10 +272,7 @@ class TestFQuantile:
         # From a far start, the search succeeds with exactly the evaluations
         # it needs and raises with one fewer.
         monkeypatch.setattr(specfun, "_beta_guess", lambda p, q, a, b: (1e-300, 1.0))
-        real_tails = specfun._beta_tails
-        points = []
-        monkeypatch.setattr(specfun, "_beta_tails",
-                            lambda a, b, x: points.append(x) or real_tails(a, b, x))
+        points = beta_tails_spy(monkeypatch)
         expected = f_quantile(0.975, 16.0, 6.0)
         needed = len(points)
         f_quantile.cache_clear()
@@ -278,6 +293,17 @@ class TestGaussLegendre:
         # leggauss itself carries ~1e-12 relative error in its smallest weights.
         assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-11
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 33, 64, 255])
+    def test_smallest_nodes_equal_the_full_rule(self, k):
+        # Only the roots the requested nodes need are polished, and each
+        # node and weight comes out the same bit for bit.
+        nodes, weights = gauss_legendre(k)
+        for count in sorted({1, 2, k // 2, (k + 1) // 2, (k + 1) // 2 + 1, k - 1, k}):
+            if count >= 1:
+                some_nodes, some_weights = gauss_legendre(k, count)
+                assert some_nodes.tolist() == nodes[:count].tolist()
+                assert some_weights.tolist() == weights[:count].tolist()
+
     @pytest.mark.parametrize("k", [1, 2, 7, 64, 256, 1024])
     def test_exact_up_to_degree_2k_minus_1(self, k):
         nodes, weights = gauss_legendre(k)
@@ -295,3 +321,5 @@ class TestGaussLegendre:
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
             gauss_legendre(bad)
+        with pytest.raises(ValueError, match="count"):
+            gauss_legendre(8, bad)
