@@ -106,7 +106,7 @@ def true_reliability(params: ExponentialScales) -> float:
 
 
 @lru_cache(maxsize=None)
-def _unit_rule(k: int, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rule(k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The count smallest nodes and weights of the k-point Gauss-Legendre rule on [0, 1]."""
     x, w = gauss_legendre(k, count)
     return 0.5 * (1.0 + x), 0.5 * w

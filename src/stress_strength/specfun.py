@@ -189,7 +189,8 @@ def _beta_quantile(p: float, a: float, b: float) -> tuple[float, float]:
             t = min(max(new, lo), hi)
             break
         if lo < new < hi and abs(step) <= 0.5 * abs(previous):
-            if halley and step**4 <= 1e-17 * t * abs(previous) ** 3:
+            # Next correction ~ step**4 / previous**3; relative to t, it cannot underflow.
+            if halley and abs(step / t * (step / previous) ** 3) <= 1e-17:
                 t = new
                 break
             t, halley = new, True
@@ -257,8 +258,8 @@ def gauss_legendre(k: int, count: int | None = None) -> tuple[np.ndarray, np.nda
     arithmetic; the largest root converges last, so each node is the full rule's.
     """
     count = k if count is None else count
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (k, count)):
-        raise ValueError(f"k and count must be positive integers, got {k!r} and {count!r}")
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (k, count)) or count > k:
+        raise ValueError(f"k and count must be positive integers, count <= k; got {k!r} and {count!r}")
     i = np.arange(1, min(count, (k + 1) // 2) + 1)
     x = (1.0 - (k - 1.0) / (8.0 * k**3)) * np.cos(np.pi * (i - 0.25) / (k + 0.5))
     for _ in range(100):

@@ -327,7 +327,7 @@ class TestUmvueKernel:
         # 2**-60; summing the same terms over every node of the rule must
         # not differ by more than that bound plus rounding.
         k = 1 << (-(-(a + b - 2) // 2) - 1).bit_length()
-        s, w = _unit_rule(k)
+        s, w = _unit_rule(k, k)
         x = np.array([1e-6, 0.01, 0.3, 0.9, 0.999, 1.0])
         bracket = -np.expm1((b - 1) * np.log1p(-np.outer(x, s)))
         full = (a - 1) * (bracket * (w * np.exp((a - 2) * np.log1p(-s)))).sum(axis=1)

@@ -183,6 +183,15 @@ class TestFQuantile:
         expected = scipy.stats.f.ppf(1e-300, 3.0, 2.0)
         assert abs(f_quantile(1e-300, 3.0, 2.0) - expected) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("p, d1, d2", [(1e-150, 3.0, 2.0), (1e-200, 4.0, 2.0),
+                                           (1e-250, 3.0, 1.0), (1e-300, 6.0, 2.0)])
+    def test_stop_on_the_cubic_rate_holds_at_tiny_roots(self, cold_quantiles, p, d1, d2):
+        # Roots from 1e-100 down: Halley steps still run there, and a stop
+        # test taken in absolute terms would underflow to 0 <= 0 and accept
+        # any two of them in a row.
+        expected = scipy.stats.f.ppf(p, d1, d2)
+        assert abs(f_quantile(p, d1, d2) - expected) <= 1e-12 * expected
+
     @pytest.mark.parametrize("d1, d2", [(0.5, 0.5), (1.0, 1.0), (400.0, 2.0)])
     def test_upper_tail_with_few_denominator_df(self, d1, d2):
         # The quantile is 8.46e22 at (0.5, 0.5); a CDF computed as
@@ -299,7 +308,7 @@ class TestGaussLegendre:
         # node and weight comes out the same bit for bit.
         nodes, weights = gauss_legendre(k)
         for count in sorted({1, 2, k // 2, (k + 1) // 2, (k + 1) // 2 + 1, k - 1, k}):
-            if count >= 1:
+            if 1 <= count <= k:
                 some_nodes, some_weights = gauss_legendre(k, count)
                 assert some_nodes.tolist() == nodes[:count].tolist()
                 assert some_weights.tolist() == weights[:count].tolist()
@@ -323,3 +332,7 @@ class TestGaussLegendre:
             gauss_legendre(bad)
         with pytest.raises(ValueError, match="count"):
             gauss_legendre(8, bad)
+
+    def test_rejects_more_nodes_than_the_rule_has(self):
+        with pytest.raises(ValueError, match="count <= k"):
+            gauss_legendre(8, 9)
