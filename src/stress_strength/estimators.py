@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sampling import ExponentialScales, StressStrengthData
+from .sampling import ExponentialScales, StressStrengthData, _check_counts
 from .specfun import NonConvergenceError, gauss_legendre
 
 __all__ = [
@@ -91,14 +91,6 @@ class EstimateSet:
     r3_bayes_conjugate: float
     r4_bayes_noninf: float
 
-    def __post_init__(self) -> None:
-        for name in ("r1_mle", "r3_bayes_conjugate", "r4_bayes_noninf"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1), got {value}")
-        if not 0.0 <= self.r2_umvue <= 1.0:
-            raise ValueError(f"r2_umvue must lie in [0, 1], got {self.r2_umvue}")
-
 
 def true_reliability(params: ExponentialScales) -> float:
     """P(Y < X) for independent exponentials with the given means."""
@@ -113,10 +105,7 @@ def _unit_rule(k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
-    for name, count in (("r1", r1), ("r2", r2)):
-        if not (isinstance(count, (int, np.integer)) and not isinstance(count, bool)
-                and count >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    _check_counts(r1=r1, r2=r2)
     z = np.asarray(z, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     if z.shape != v.shape:
@@ -125,6 +114,23 @@ def _check_totals(r1: int, z, r2: int, v) -> tuple[np.ndarray, np.ndarray]:
         if not ((totals > 0.0) & (totals < math.inf)).all():
             raise ValueError("totals on test must be positive and finite")
     return z, v
+
+
+def _check_inside(values: np.ndarray, names: tuple[str, ...], closed: int | None = None) -> None:
+    # Each row holds one value per name, strictly inside (0, 1) or, in column
+    # ``closed``, in [0, 1].  values * (1 - values) is above 0 exactly inside
+    # (0, 1) and 0 at its ends; NaN passes neither test.
+    spread = values * (1.0 - values)
+    ok = spread > 0.0
+    if closed is not None:
+        ok[:, closed] = spread[:, closed] >= 0.0
+    if np.count_nonzero(ok) < ok.size:
+        # The first bad row, and in it the first bad open column, else the closed one.
+        row = np.argmin(ok.all(axis=1))
+        j = min(np.flatnonzero(~ok[row]), key=lambda j: j == closed)
+        if j == closed:
+            raise ValueError(f"{names[j]} must lie in [0, 1], got {values[row, j]}")
+        raise ValueError(f"{names[j]} must lie strictly inside (0, 1), got {values[row, j]}")
 
 
 def _mle(
@@ -272,6 +278,7 @@ def _estimates(
             prior_strength.shape_u + r1, prior_strength.scale_v + z,
             prior_stress.shape_u + r2, prior_stress.scale_v + v,
         )
+    _check_inside(out, EstimateSet.__match_args__, closed=1)  # the field names
     return out
 
 
@@ -287,7 +294,8 @@ def estimate_kernel(
 
     Returns an array of shape (len(z), 4) whose columns are R1 (MLE), R2
     (UMVUE), R3 (conjugate Bayes) and R4 (noninformative Bayes).  R3 is R4
-    when both priors are noninformative.
+    when both priors are noninformative.  A row with R1, R3 or R4 outside
+    (0, 1) or R2 outside [0, 1] raises ValueError, as in :func:`estimate_all`.
 
     R1 plugs the scale MLEs Z/r1 and V/r2, each a total time on test over
     its number of observed failures, into alpha / (alpha + beta), taken as

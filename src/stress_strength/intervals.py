@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _check_totals, _mle
+from .estimators import _check_inside, _check_totals, _mle
 from .sampling import StressStrengthData
 from .specfun import f_quantile, normal_quantile
 
@@ -30,27 +30,23 @@ METHODS = ("asymptotic", "exact")
 
 @dataclass(frozen=True)
 class IntervalEstimate:
+    """One interval, checked by :func:`asymptotic_ci` or :func:`exact_ci`."""
+
     lower: float
     upper: float
     level: float
     method: str
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
-            raise ValueError(
-                f"bounds must satisfy 0 <= lower <= upper <= 1, got [{self.lower}, {self.upper}]"
-            )
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 def _check_method_and_level(method: str, level: float) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
 
 
 def interval_kernel(
@@ -75,6 +71,8 @@ def interval_kernel(
     the central probability statement gives bounds that hold at the nominal
     level for every sample size.  Its two F quantiles depend only on
     (r1, r2, level), so they are found once per call.
+
+    Bounds that break 0 <= lower <= upper <= 1, or are NaN, raise ValueError.
     """
     _check_method_and_level(method, level)
     z, v = _check_totals(r1, z, r2, v)
@@ -88,14 +86,19 @@ def _intervals(
         tail = 0.5 * (1.0 - level)
         quantiles = [[f_quantile(tail, 2.0 * r2, 2.0 * r1)],
                      [f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)]]
-        return tuple(_mle(r1, z, r2, v, np.array(quantiles)))
-    r_hat = _mle(r1, z, r2, v)
-    spread = r_hat * (1.0 - r_hat)  # above 0 exactly where r_hat lies inside (0, 1)
-    if np.count_nonzero(spread > 0.0) < spread.size:
-        bad = float(r_hat[np.argmin(spread > 0.0)])
-        raise ValueError(f"r_hat must lie strictly inside (0, 1), got {bad}")
-    half = normal_quantile(0.5 * (1.0 + level)) * (spread * math.sqrt(1.0 / r1 + 1.0 / r2))
-    return np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)
+        lower, upper = _mle(r1, z, r2, v, np.array(quantiles))
+    else:
+        r_hat = _mle(r1, z, r2, v)
+        _check_inside(r_hat[:, None], ("r_hat",))
+        spread = r_hat * (1.0 - r_hat)
+        half = normal_quantile(0.5 * (1.0 + level)) * (spread * math.sqrt(1.0 / r1 + 1.0 / r2))
+        lower, upper = np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)
+    ok = (lower >= 0.0) & (lower <= upper) & (upper <= 1.0)  # NaN fails each
+    if np.count_nonzero(ok) < ok.size:
+        i = np.argmin(ok)
+        raise ValueError(
+            f"bounds must satisfy 0 <= lower <= upper <= 1, got [{lower[i]}, {upper[i]}]")
+    return lower, upper
 
 
 def _interval_of(method: str, data: StressStrengthData, level: float) -> IntervalEstimate:
@@ -104,8 +107,7 @@ def _interval_of(method: str, data: StressStrengthData, level: float) -> Interva
     _check_method_and_level(method, level)
     lower, upper = _intervals(method, data.strength.observed, np.array([data.strength.ttt]),
                               data.stress.observed, np.array([data.stress.ttt]), level)
-    return IntervalEstimate(lower=float(lower[0]), upper=float(upper[0]), level=level,
-                            method=method)
+    return IntervalEstimate(float(lower[0]), float(upper[0]), level, method)
 
 
 def asymptotic_ci(data: StressStrengthData, level: float = 0.95) -> IntervalEstimate:

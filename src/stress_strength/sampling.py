@@ -141,6 +141,14 @@ class StressStrengthData:
     stress: CensoredSample
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise ValueError for the first count that is not a positive integer (a bool is not)."""
+    for name, value in counts.items():
+        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 class _DrawMemo:
     """Standard gamma arrays by (sub-stream, shape, count), least recently
     used first.  The kept arrays are read-only and hold at most ``budget``
@@ -196,10 +204,7 @@ def draw_totals(
     take it from a bounded memo instead of drawing it again; the returned
     totals are new arrays either way.
     """
-    for name, value in (("r1", r1), ("r2", r2), ("count", count)):
-        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _check_counts(r1=r1, r2=r2, count=count)
     z = params.alpha * _DRAWS.standard_gamma(rng.substream(0), r1, count)
     v = params.beta * _DRAWS.standard_gamma(rng.substream(1), r2, count)
     return z, v

@@ -30,8 +30,8 @@ from .estimators import (
     estimate_kernel,
     true_reliability,
 )
-from .intervals import METHODS, IntervalEstimate, interval_kernel
-from .sampling import ExponentialScales, RngStream, draw_totals
+from .intervals import _check_level, _check_method_and_level, interval_kernel
+from .sampling import ExponentialScales, RngStream, _check_counts, draw_totals
 
 __all__ = [
     "SimulationError",
@@ -79,8 +79,7 @@ class SimCellConfig:
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         RngStream(self.seed)  # raises unless seed is an unsigned 64-bit integer
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _check_level(self.level)
 
 
 @dataclass(frozen=True)
@@ -126,18 +125,6 @@ def _run_batch(replicates: int, kernel: Callable[[slice], T]) -> T:
         raise SimulationError(f"cell failed: {batch_error}") from batch_error
 
 
-def _name_first(outside: np.ndarray, check: Callable[[int], object]) -> None:
-    """Raise the error ``check(i)`` raises for the first replicate i marked
-    ``outside``, naming that replicate."""
-    bad = np.flatnonzero(outside)
-    if bad.size:
-        i = int(bad[0])
-        try:
-            check(i)
-        except ValueError as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
-
-
 def run_cell(config: SimCellConfig) -> SimCellResult:
     """Estimate MSE, bias, and their Monte Carlo noise for one cell.
 
@@ -148,10 +135,6 @@ def run_cell(config: SimCellConfig) -> SimCellResult:
     z, v = _cell_totals(config)
     estimates = _run_batch(config.replicates, lambda part: estimate_kernel(
         config.r1, z[part], config.r2, v[part], config.prior_strength, config.prior_stress))
-    # EstimateSet's range checks, applied to every replicate at once.
-    inside = (estimates > 0.0) & (estimates < 1.0)
-    inside[:, 1] = (estimates[:, 1] >= 0.0) & (estimates[:, 1] <= 1.0)
-    _name_first(~inside.all(axis=1), lambda i: EstimateSet(*estimates[i].tolist()))
     squared_errors = (estimates - true_r) ** 2
     means = estimates.mean(axis=0).tolist()
     if config.replicates > 1:
@@ -170,17 +153,11 @@ def run_cell(config: SimCellConfig) -> SimCellResult:
 
 def run_coverage(config: SimCellConfig, method: str) -> CoverageResult:
     """Empirical coverage and mean width of one interval method."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    _check_method_and_level(method, config.level)  # before any draw
     true_r = true_reliability(config.params)
     z, v = _cell_totals(config)
     lower, upper = _run_batch(config.replicates, lambda part: interval_kernel(
         method, config.r1, z[part], config.r2, v[part], config.level))
-    # IntervalEstimate's bound checks, applied to every replicate at once.
-    _name_first(
-        ~((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)),
-        lambda i: IntervalEstimate(float(lower[i]), float(upper[i]), config.level, method),
-    )
     return CoverageResult(
         config=config,
         method=method,
@@ -209,8 +186,7 @@ def run_grid(
     cell yields a :class:`CellFailure` entry instead of aborting the rest,
     and so does every cell a dead worker process took down with the pool.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_counts(workers=workers)
     configs = list(configs)
     keys = [replace(config, n=config.r1, m=config.r2) for config in configs]
     cells: dict[SimCellConfig, SimCellConfig] = {}

@@ -50,6 +50,41 @@ def posterior_mean(a1, zeta, a2, tau):
     return float(_posterior_means(a1, np.array([zeta]), a2, np.array([tau]))[0])
 
 
+# On both scales, this prior makes R3's posterior shapes r + 1/2 and leaves
+# its scale totals equal to R4's, Z and V.
+HALF = GammaPrior(0.5, 0.0)
+HALF_DATA = data_with_totals(3, 3, 3.0, 6.0)
+
+
+def inject(monkeypatch, at=None, **estimates):
+    """Set each estimate named r1, r2, r3 or r4 to the given value inside
+    the kernel internal that computes it, on the rows whose strength total
+    lies in ``at`` (every row if None), in a call with priors HALF, HALF."""
+    def wrap(name, column_of):
+        real = getattr(estimators, name)
+
+        def fake(a1, zeta, a2, tau, *rest):
+            out = real(a1, zeta, a2, tau, *rest)
+            column = column_of(a1)
+            if column in estimates:
+                out[slice(None) if at is None else np.isin(zeta, at)] = estimates[column]
+            return out
+
+        monkeypatch.setattr(estimators, name, fake)
+
+    wrap("_mle", lambda r1: "r1")
+    wrap("_umvue", lambda r1: "r2")
+    wrap("_posterior_means", lambda a1: "r4" if float(a1).is_integer() else "r3")
+
+
+def assert_rejected(message):
+    """On HALF_DATA, both the kernel and estimate_all raise ``message``."""
+    with pytest.raises(ValueError, match=message):
+        estimate_kernel(3, [HALF_DATA.strength.ttt], 3, [HALF_DATA.stress.ttt], HALF, HALF)
+    with pytest.raises(ValueError, match=message):
+        estimate_all(HALF_DATA, HALF, HALF)
+
+
 class TestTrueReliability:
     @pytest.mark.parametrize("alpha,beta,expected", [
         (2.0, 3.0, 0.4),
@@ -281,13 +316,65 @@ class TestEstimateAll:
             assert 0.0 < estimates.r3_bayes_conjugate < 1.0
             assert 0.0 < estimates.r4_bayes_noninf < 1.0
 
-    def test_estimate_set_validation(self):
-        with pytest.raises(ValueError):
-            EstimateSet(0.0, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            EstimateSet(0.5, 1.2, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            EstimateSet(0.5, 0.5, 1.0, 0.5)
+    def test_estimate_set_validation(self, monkeypatch):
+        # The rows EstimateSet(0.0, 0.5, 0.5, 0.5), (0.5, 1.2, 0.5, 0.5) and
+        # (0.5, 0.5, 1.0, 0.5), now rejected where they are computed.
+        for estimate, message in (
+            (dict(r1=0.0), r"r1_mle must lie strictly inside \(0, 1\), got 0.0"),
+            (dict(r2=1.2), r"r2_umvue must lie in \[0, 1\], got 1.2"),
+            (dict(r3=1.0), r"r3_bayes_conjugate must lie strictly inside \(0, 1\), got 1.0"),
+        ):
+            with monkeypatch.context() as patch:
+                inject(patch, **estimate)
+                assert_rejected(message)
+
+
+class TestEstimateChecks:
+    @pytest.mark.parametrize("column,name", [
+        ("r1", "r1_mle"), ("r2", "r2_umvue"),
+        ("r3", "r3_bayes_conjugate"), ("r4", "r4_bayes_noninf"),
+    ])
+    def test_nan_is_rejected_and_named(self, monkeypatch, column, name):
+        inject(monkeypatch, **{column: math.nan})
+        assert_rejected(rf"^{name} must lie .*, got nan$")
+
+    def test_r3_is_named_before_r2(self, monkeypatch):
+        inject(monkeypatch, r2=1.5, r3=1.0)
+        assert_rejected(r"^r3_bayes_conjugate must lie strictly inside \(0, 1\), got 1.0$")
+
+    def test_ends_of_each_range(self, monkeypatch):
+        # R2 may reach 0 and 1; the other three may not.
+        for r2 in (0.0, 1.0):
+            with monkeypatch.context() as patch:
+                inject(patch, r2=r2)
+                assert estimate_all(HALF_DATA, HALF, HALF).r2_umvue == r2
+        for column in ("r1", "r3", "r4"):
+            for value in (0.0, 1.0, -0.5, 1.5):
+                with monkeypatch.context() as patch:
+                    inject(patch, **{column: value})
+                    assert_rejected(rf"strictly inside \(0, 1\), got {value}$")
+
+    def test_kernel_raises_where_estimate_all_raises(self):
+        # Real totals, no injected fault: the odds against R are 1e-20, so
+        # R1 rounds to 1 in the second row, as it does in estimate_all.
+        data = data_with_totals(3, 3, 1e20, 1.0)
+        messages = []
+        for call in (
+            lambda: estimate_all(data),
+            lambda: estimate_kernel(3, [1.0, data.strength.ttt], 3, [1.0, data.stress.ttt]),
+            lambda: estimate_kernel(3, [1.0, 1e20], 3, [1.0, 1.0]),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            messages.append(str(error.value))
+        assert messages == ["r1_mle must lie strictly inside (0, 1), got 1.0"] * 3
+
+    def test_first_bad_row_is_named(self, monkeypatch):
+        # Row 1 has only R2 out of range and row 2 only R1: row 1 is named.
+        inject(monkeypatch, at=[2.0], r2=-0.25)
+        inject(monkeypatch, at=[3.0], r1=1.0)
+        with pytest.raises(ValueError, match=r"^r2_umvue must lie in \[0, 1\], got -0.25$"):
+            estimate_kernel(3, [1.0, 2.0, 3.0], 3, [1.0, 1.0, 1.0], HALF, HALF)
 
 
 class TestUmvueKernel:

@@ -7,10 +7,10 @@ import pytest
 import scipy.stats
 
 from helpers import data_with_totals, draw_dataset, totals_of
+import stress_strength.intervals as intervals
 from stress_strength import (
     METHODS,
     ExponentialScales,
-    IntervalEstimate,
     RngStream,
     asymptotic_ci,
     estimate_all,
@@ -24,6 +24,20 @@ from stress_strength.specfun import f_quantile, normal_quantile
 def asymptotic_half_width(r1, z, r2, v, level=0.95):
     lower, upper = interval_kernel("asymptotic", r1, [z], r2, [v], level)
     return 0.5 * float(upper[0] - lower[0])
+
+
+def assert_exact_bounds_rejected(monkeypatch, lower, upper):
+    """With the exact interval's odds replaced by these bounds, the kernel
+    and exact_ci both reject them, naming them."""
+    def odds(r1, z, r2, v, f=None):
+        return np.array([np.full(z.shape, lower), np.full(z.shape, upper)])
+
+    monkeypatch.setattr(intervals, "_mle", odds)
+    message = rf"^bounds must satisfy 0 <= lower <= upper <= 1, got \[{lower}, {upper}\]$"
+    with pytest.raises(ValueError, match=message):
+        interval_kernel("exact", 3, [1.0, 2.0], 3, [1.0, 1.0], 0.95)
+    with pytest.raises(ValueError, match=message):
+        exact_ci(data_with_totals(3, 3, 1.0, 1.0))
 
 
 class TestDeltaVariance:
@@ -228,21 +242,25 @@ class TestIntervalKernel:
 
 
 class TestIntervalEstimate:
+    # The records are built only from checked bounds; the kernel checks them.
     def test_methods_registry(self):
         assert METHODS == ("asymptotic", "exact")
 
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            IntervalEstimate(0.7, 0.3, 0.95, "exact")
+    def test_rejects_inverted_bounds(self, monkeypatch):
+        assert_exact_bounds_rejected(monkeypatch, 0.7, 0.3)
 
-    def test_rejects_bounds_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            IntervalEstimate(-0.1, 0.5, 0.95, "exact")
-        with pytest.raises(ValueError):
-            IntervalEstimate(0.5, 1.1, 0.95, "exact")
+    def test_rejects_bounds_outside_unit_interval(self, monkeypatch):
+        assert_exact_bounds_rejected(monkeypatch, -0.1, 0.5)
+        assert_exact_bounds_rejected(monkeypatch, 0.5, 1.1)
+
+    def test_rejects_nan_bounds(self, monkeypatch):
+        assert_exact_bounds_rejected(monkeypatch, math.nan, 0.5)
+        assert_exact_bounds_rejected(monkeypatch, 0.5, math.nan)
 
     def test_rejects_bad_level_and_method(self):
-        with pytest.raises(ValueError):
-            IntervalEstimate(0.2, 0.8, 1.5, "exact")
-        with pytest.raises(ValueError):
-            IntervalEstimate(0.2, 0.8, 0.95, "bootstrap")
+        data = data_with_totals(3, 3, 1.0, 1.0)
+        for ci in (asymptotic_ci, exact_ci):
+            with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\), got 1.5$"):
+                ci(data, 1.5)
+        with pytest.raises(ValueError, match=r"^method must be one of .*, got 'bootstrap'$"):
+            interval_kernel("bootstrap", 3, [1.0], 3, [1.0], 0.95)

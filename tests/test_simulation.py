@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stress_strength.estimators as estimators
+import stress_strength.intervals as intervals
 import stress_strength.simulation as simulation
 from helpers import fresh_draw_memo, kill_worker_on
 from stress_strength import (
@@ -184,19 +186,31 @@ class TestRunCell:
             large.true_r, large.mean_estimates, large.mse, large.bias, large.mc_stderr)
 
     def test_first_estimate_out_of_range_is_named(self, monkeypatch):
-        real = simulation.estimate_kernel
+        # The posterior means of replicates 4 and 7 round to 1; R3 is R4
+        # under the default priors, and R3 is named first.
+        config = small_config(replicates=10)
+        poisoned = cell_totals(config)[0][[4, 7]]
+        real = estimators._posterior_means
 
-        def out_of_range(*args):
-            rows = real(*args)
-            rows[[4, 7], 2] = 1.0
-            return rows
+        def out_of_range(a1, zeta, a2, tau, *rest):
+            means = real(a1, zeta, a2, tau, *rest)
+            means[np.isin(zeta, poisoned)] = 1.0
+            return means
 
-        monkeypatch.setattr(simulation, "estimate_kernel", out_of_range)
+        monkeypatch.setattr(estimators, "_posterior_means", out_of_range)
         with pytest.raises(
             SimulationError,
             match=r"replicate 4 failed: r3_bayes_conjugate must lie strictly inside \(0, 1\), got 1.0",
         ):
-            run_cell(small_config(replicates=10))
+            run_cell(config)
+
+    def test_an_mle_that_rounds_to_one_is_named(self):
+        # At alpha/beta = 1e17 the odds against R fall below 2**-53.
+        config = small_config(params=ExponentialScales(1e17, 1.0), n=5, m=5, r1=3, r2=3,
+                              replicates=10)
+        with pytest.raises(SimulationError, match=r"^replicate 0 failed: r1_mle must lie "
+                                                  r"strictly inside \(0, 1\), got 1.0$"):
+            run_cell(config)
 
 
 class TestRunCoverage:
@@ -232,25 +246,34 @@ class TestRunCoverage:
             run_coverage(config, method)
 
     def test_first_interval_out_of_range_is_named(self, monkeypatch):
-        real = simulation.interval_kernel
+        # The exact bounds of replicates 3 and 8 come out inverted.
+        config = small_config(replicates=10)
+        poisoned = cell_totals(config)[0][[3, 8]]
+        real = intervals._mle
 
-        def inverted(*args):
-            lower, upper = real(*args)
-            lower[[3, 8]] = upper[[3, 8]] + 0.25
-            return lower, upper
+        def inverted(r1, z, r2, v, f=None):
+            bounds = real(r1, z, r2, v, f)
+            if f is not None:
+                hit = np.isin(z, poisoned)
+                bounds[0, hit] = bounds[1, hit] + 0.25
+            return bounds
 
-        monkeypatch.setattr(simulation, "interval_kernel", inverted)
+        monkeypatch.setattr(intervals, "_mle", inverted)
         with pytest.raises(SimulationError,
                            match=r"replicate 3 failed: bounds must satisfy 0 <= lower <= upper"):
-            run_coverage(small_config(replicates=10), "asymptotic")
+            run_coverage(config, "exact")
 
     def test_exact_method_attains_nominal_level(self):
         config = small_config(replicates=1000, seed=23, level=0.9)
         result = run_coverage(config, "exact")
         assert abs(result.coverage - 0.9) <= 0.03
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
+    def test_rejects_unknown_method(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew totals")
+
+        monkeypatch.setattr(simulation, "draw_totals", no_draws)
+        with pytest.raises(ValueError, match=r"^method must be one of .*, got 'bootstrap'$"):
             run_coverage(small_config(replicates=5), "bootstrap")
 
 
@@ -303,6 +326,14 @@ class TestRunGrid:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             run_grid([small_config(replicates=5)], workers=0)
+
+    @pytest.mark.parametrize("workers", [0, 2.5, "2", True])
+    def test_rejects_workers_that_are_not_positive_integers(self, monkeypatch, workers):
+        ran = []
+        monkeypatch.setattr(simulation, "run_cell", ran.append)
+        with pytest.raises(ValueError, match=rf"^workers must be a positive integer, got {workers!r}$"):
+            run_grid([small_config(replicates=5)], workers=workers)
+        assert ran == []
 
     def test_dead_worker_becomes_cell_failures(self, monkeypatch):
         configs = [small_config(replicates=5, seed=seed) for seed in (1, 2, 3)]
