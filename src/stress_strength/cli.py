@@ -369,9 +369,9 @@ def _execute_ci(args: argparse.Namespace) -> int:
 def _execute_simulate(args: argparse.Namespace) -> int:
     configs = _load_grid(args)
     failures = 0
-
-    def fmt(value: float) -> str:
-        return _format_float(value, args.full_precision)
+    # _format_float, chosen once for the whole table: every value written is
+    # a float, so float's own methods give the same text without float().
+    fmt = float.__repr__ if args.full_precision else "{:.6g}".format
 
     with _output(args.out) as out:
         entries = run_grid(configs, workers=args.workers)

@@ -72,7 +72,8 @@ def interval_kernel(
     level for every sample size.  Its two F quantiles depend only on
     (r1, r2, level), so they are found once per call.
 
-    Bounds that break 0 <= lower <= upper <= 1, or are NaN, raise ValueError.
+    Exact bounds that break 0 <= lower <= upper <= 1, or are NaN, raise
+    ValueError; the asymptotic bounds satisfy it by construction.
     """
     _check_method_and_level(method, level)
     z, v = _check_totals(r1, z, r2, v)
@@ -82,17 +83,22 @@ def interval_kernel(
 def _intervals(
     method: str, r1: int, z: np.ndarray, r2: int, v: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    if method == "exact":
-        tail = 0.5 * (1.0 - level)
-        quantiles = [[f_quantile(tail, 2.0 * r2, 2.0 * r1)],
-                     [f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)]]
-        lower, upper = _mle(r1, z, r2, v, np.array(quantiles))
-    else:
+    if method == "asymptotic":
         r_hat = _mle(r1, z, r2, v)
         _check_inside(r_hat[:, None], ("r_hat",))
+        # These bounds need no check.  r_hat lies inside (0, 1), so the spread
+        # lies in [0, 1/4] (it may underflow to 0); normal_quantile rejects
+        # 0.5 * (1 + level) = 1, so its factor is finite and >= 0; so half
+        # is finite and >= 0, and nothing here is NaN.  Rounding is monotone,
+        # so r_hat - half <= r_hat <= r_hat + half, and with 0 < r_hat < 1,
+        # 0 <= max(r_hat - half, 0) <= r_hat <= min(r_hat + half, 1) <= 1.
         spread = r_hat * (1.0 - r_hat)
         half = normal_quantile(0.5 * (1.0 + level)) * (spread * math.sqrt(1.0 / r1 + 1.0 / r2))
-        lower, upper = np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)
+        return np.maximum(r_hat - half, 0.0), np.minimum(r_hat + half, 1.0)
+    tail = 0.5 * (1.0 - level)
+    quantiles = [[f_quantile(tail, 2.0 * r2, 2.0 * r1)],
+                 [f_quantile(1.0 - tail, 2.0 * r2, 2.0 * r1)]]
+    lower, upper = _mle(r1, z, r2, v, np.array(quantiles))
     ok = (lower >= 0.0) & (lower <= upper) & (upper <= 1.0)  # NaN fails each
     if np.count_nonzero(ok) < ok.size:
         i = np.argmin(ok)

@@ -10,15 +10,22 @@ each.  Cells are therefore reproducible in isolation, in any order, and
 across worker processes.  The total on test of r observed failures is
 scale * Gamma(r) whatever the number of units, so n and m do not change
 what a cell simulates: cells that differ only in n and m give identical
-results.  The estimators and intervals are then evaluated once per cell,
-as array kernels over the cell's totals.
+results.  The intervals are evaluated once per cell, as array kernels
+over the cell's totals.  The estimators are evaluated once per batch of
+cells: :func:`run_grid` joins its distinct cells' totals into one call of
+the estimator kernels, whose sums each run over one value's nodes, and
+takes the moments of all cells with one replicate count in one pass, each
+summed over one cell's replicates in replicate order.  So a cell's result
+does not depend on the cells batched with it, and :func:`run_cell` is the
+one-cell case.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -27,7 +34,7 @@ from .estimators import (
     NONINFORMATIVE,
     EstimateSet,
     GammaPrior,
-    estimate_kernel,
+    _estimate_cells,
     true_reliability,
 )
 from .intervals import _check_level, _check_method_and_level, interval_kernel
@@ -46,6 +53,10 @@ __all__ = [
 
 FourFloats = tuple[float, float, float, float]
 T = TypeVar("T")
+
+# One kernel batch of run_grid holds at most this many replicates, unless a
+# single cell has more: 2**14 rows of estimates, 512 KiB.
+_BATCH_REPLICATES = 1 << 14
 
 
 class SimulationError(RuntimeError):
@@ -82,6 +93,11 @@ class SimCellConfig:
         _check_level(self.level)
 
 
+# Every setting of a cell but n and m, which do not change what it simulates.
+_cell_key = attrgetter(*(field.name for field in fields(SimCellConfig)
+                         if field.name not in ("n", "m")))
+
+
 @dataclass(frozen=True)
 class SimCellResult:
     config: SimCellConfig
@@ -111,6 +127,10 @@ def _cell_totals(config: SimCellConfig) -> tuple[np.ndarray, np.ndarray]:
                        RngStream(config.seed))
 
 
+def _kernel_cell(config: SimCellConfig, z: np.ndarray, v: np.ndarray) -> tuple:
+    return config.r1, z, config.r2, v, config.prior_strength, config.prior_stress
+
+
 def _run_batch(replicates: int, kernel: Callable[[slice], T]) -> T:
     """``kernel`` applied to every replicate of a cell at once."""
     try:
@@ -125,30 +145,85 @@ def _run_batch(replicates: int, kernel: Callable[[slice], T]) -> T:
         raise SimulationError(f"cell failed: {batch_error}") from batch_error
 
 
+def _summaries(configs: list[SimCellConfig], estimates: np.ndarray) -> list[SimCellResult]:
+    """The results of cells of one replicate count R from their estimates,
+    an array of shape (cells, R, 4).
+
+    Each sum runs over the replicate axis in replicate order, as
+    ``mean(axis=0)`` and ``var(axis=0, ddof=1)`` of one cell's (R, 4) rows
+    do, so a cell's moments do not depend on the cells beside it.
+    """
+    replicates = estimates.shape[1]
+    true_r = [true_reliability(config.params) for config in configs]
+    squared_errors = (estimates - np.array(true_r)[:, None, None]) ** 2
+    means = (np.add.reduce(estimates, axis=1) / replicates).tolist()
+    mse = np.add.reduce(squared_errors, axis=1) / replicates
+    if replicates > 1:
+        deviations = squared_errors - mse[:, None]
+        variances = np.add.reduce(deviations * deviations, axis=1) / (replicates - 1)
+        stderr = np.sqrt(variances / replicates).tolist()
+    else:
+        stderr = [[0.0] * 4] * len(configs)
+    return [
+        SimCellResult(
+            config=config,
+            true_r=target,
+            mean_estimates=EstimateSet(*cell_means),
+            mse=tuple(cell_mse),
+            bias=tuple(mean - target for mean in cell_means),
+            mc_stderr=tuple(cell_stderr),
+        )
+        for config, target, cell_means, cell_mse, cell_stderr
+        in zip(configs, true_r, means, mse.tolist(), stderr)
+    ]
+
+
 def run_cell(config: SimCellConfig) -> SimCellResult:
     """Estimate MSE, bias, and their Monte Carlo noise for one cell.
 
     ``mc_stderr`` is the standard error of each MSE estimate: the sample
     standard deviation of the squared errors divided by sqrt(replicates).
+    This is the one-cell case of the batch that :func:`run_grid` runs.
     """
-    true_r = true_reliability(config.params)
     z, v = _cell_totals(config)
-    estimates = _run_batch(config.replicates, lambda part: estimate_kernel(
-        config.r1, z[part], config.r2, v[part], config.prior_strength, config.prior_stress))
-    squared_errors = (estimates - true_r) ** 2
-    means = estimates.mean(axis=0).tolist()
-    if config.replicates > 1:
-        stderr = np.sqrt(squared_errors.var(axis=0, ddof=1) / config.replicates).tolist()
-    else:
-        stderr = [0.0] * 4
-    return SimCellResult(
-        config=config,
-        true_r=true_r,
-        mean_estimates=EstimateSet(*means),
-        mse=tuple(squared_errors.mean(axis=0).tolist()),
-        bias=tuple(mean - true_r for mean in means),
-        mc_stderr=tuple(stderr),
-    )
+    estimates = _run_batch(config.replicates, lambda part: _estimate_cells(
+        [_kernel_cell(config, z[part], v[part])]))
+    return _summaries([config], estimates[None])[0]
+
+
+def _grid_entry(config: SimCellConfig) -> SimCellResult | CellFailure:
+    try:
+        return run_cell(config)
+    except Exception as exc:
+        return CellFailure(config=config, message=str(exc))
+
+
+def _run_cells(configs: list[SimCellConfig]) -> list[SimCellResult | CellFailure]:
+    """The entries of distinct cells, from one kernel batch over all of them.
+
+    The cells are joined in groups of one replicate count, so that each
+    group's rows reshape to (cells, replicates, 4) for :func:`_summaries`.
+    If the batch raises, each cell is run on its own by :func:`run_cell`,
+    and one that fails becomes a :class:`CellFailure` with its own message.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(config.replicates, []).append(index)
+    order = [index for members in groups.values() for index in members]
+    try:
+        estimates = _estimate_cells(
+            [_kernel_cell(configs[i], *_cell_totals(configs[i])) for i in order])
+    except Exception:
+        return [_grid_entry(config) for config in configs]
+    entries: list[SimCellResult | CellFailure] = [None] * len(configs)
+    lo = 0
+    for replicates, members in groups.items():
+        hi = lo + replicates * len(members)
+        block = estimates[lo:hi].reshape(len(members), replicates, 4)
+        for index, result in zip(members, _summaries([configs[i] for i in members], block)):
+            entries[index] = result
+        lo = hi
+    return entries
 
 
 def run_coverage(config: SimCellConfig, method: str) -> CoverageResult:
@@ -166,11 +241,18 @@ def run_coverage(config: SimCellConfig, method: str) -> CoverageResult:
     )
 
 
-def _grid_entry(config: SimCellConfig) -> SimCellResult | CellFailure:
-    try:
-        return run_cell(config)
-    except Exception as exc:
-        return CellFailure(config=config, message=str(exc))
+def _batches(configs: list[SimCellConfig]) -> list[list[SimCellConfig]]:
+    """Consecutive runs of cells with at most _BATCH_REPLICATES replicates
+    in all, or one cell, so that a batch's arrays do not grow with the grid."""
+    batches: list[list[SimCellConfig]] = []
+    held = _BATCH_REPLICATES
+    for config in configs:
+        if held + config.replicates > _BATCH_REPLICATES:
+            batches.append([])
+            held = 0
+        batches[-1].append(config)
+        held += config.replicates
+    return batches
 
 
 def run_grid(
@@ -180,20 +262,24 @@ def run_grid(
 
     Cells that differ only in n and m simulate the same thing (see the
     module docstring), so only the first of them runs, and each of its
-    rows gets a copy of its entry carrying the row's own config.  Cells
-    are independent, so ``workers > 1`` fans them out over processes;
-    per-cell seeding makes the results identical either way.  A failing
-    cell yields a :class:`CellFailure` entry instead of aborting the rest,
-    and so does every cell a dead worker process took down with the pool.
+    other rows gets a copy of its entry carrying the row's own config.
+    With one worker the distinct cells run as kernel batches of up to
+    2**14 replicates in all (see :func:`run_cell`, their one-cell case).
+    Cells are independent, so ``workers > 1`` fans them out over processes,
+    one cell per task; per-cell seeding makes the results identical either
+    way.  A failing cell yields a :class:`CellFailure` entry instead of
+    aborting the rest, and so does every cell a dead worker process took
+    down with the pool.
     """
     _check_counts(workers=workers)
     configs = list(configs)
-    keys = [replace(config, n=config.r1, m=config.r2) for config in configs]
-    cells: dict[SimCellConfig, SimCellConfig] = {}
+    keys = [_cell_key(config) for config in configs]
+    cells: dict[tuple, SimCellConfig] = {}
     for key, config in zip(keys, configs):
         cells.setdefault(key, config)
     if workers == 1 or len(cells) <= 1:
-        entries = [_grid_entry(config) for config in cells.values()]
+        entries = [entry for batch in _batches(list(cells.values()))
+                   for entry in _run_cells(batch)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_grid_entry, config) for config in cells.values()]
@@ -204,4 +290,6 @@ def run_grid(
             except BrokenProcessPool as exc:
                 entries.append(CellFailure(config=config, message=f"worker process died: {exc}"))
     by_key = dict(zip(cells, entries))
-    return [replace(by_key[key], config=config) for key, config in zip(keys, configs)]
+    entries = [by_key[key] for key in keys]
+    return [entry if entry.config is config else replace(entry, config=config)
+            for entry, config in zip(entries, configs)]

@@ -88,11 +88,17 @@ def _beta_tails(a: float, b: float, x: float, log_beta: float) -> tuple[float, f
 
 
 def _log_beta(a: float, b: float) -> float:
-    # log B(a, b).  For b >= 10, lgamma(b) - lgamma(a + b) is taken from
-    # Stirling's formula for both, so the two large values never cancel,
+    # log B(a, b), symmetric in its shapes: kept by their sorted pair, so
+    # that the two quantiles of an exact interval share one memo entry.
+    return _sorted_log_beta(min(a, b), max(a, b))
+
+
+@lru_cache(maxsize=128)
+def _sorted_log_beta(a: float, b: float) -> float:
+    # log B(a, b) for a <= b.  For b >= 10, lgamma(b) - lgamma(a + b) is taken
+    # from Stirling's formula for both, so the two large values never cancel,
     # and for a >= 10 so is lgamma(a) (DiDonato & Morris, ACM TOMS 708,
     # 1992: betaln and algdiv).
-    a, b = min(a, b), max(a, b)
     if b < 10.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     rest = _stirling_remainder(b) - _stirling_remainder(a + b) - (b - 0.5) * math.log1p(a / b)

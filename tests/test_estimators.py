@@ -46,8 +46,15 @@ def r2_umvue(r1, z, r2, v):
     return float(estimate_kernel(r1, [z], r2, [v])[0, 1])
 
 
+def posterior_means(a1, zeta, a2, tau):
+    """The posterior-mean kernel on one problem: shapes a1, a2 and arrays of scale totals."""
+    (means,) = _posterior_means([(a1, np.asarray(zeta, dtype=float), a2,
+                                  np.asarray(tau, dtype=float))])
+    return means
+
+
 def posterior_mean(a1, zeta, a2, tau):
-    return float(_posterior_means(a1, np.array([zeta]), a2, np.array([tau]))[0])
+    return float(posterior_means(a1, [zeta], a2, [tau])[0])
 
 
 # On both scales, this prior makes R3's posterior shapes r + 1/2 and leaves
@@ -60,21 +67,31 @@ def inject(monkeypatch, at=None, **estimates):
     """Set each estimate named r1, r2, r3 or r4 to the given value inside
     the kernel internal that computes it, on the rows whose strength total
     lies in ``at`` (every row if None), in a call with priors HALF, HALF."""
-    def wrap(name, column_of):
+    def overwrite(column, zeta, out):
+        if column in estimates:
+            out[slice(None) if at is None else np.isin(zeta, at)] = estimates[column]
+
+    def wrap(name, column):
         real = getattr(estimators, name)
 
-        def fake(a1, zeta, a2, tau, *rest):
-            out = real(a1, zeta, a2, tau, *rest)
-            column = column_of(a1)
-            if column in estimates:
-                out[slice(None) if at is None else np.isin(zeta, at)] = estimates[column]
+        def fake(r1, z, r2, v, *rest):
+            out = real(r1, z, r2, v, *rest)
+            overwrite(column, z, out)
             return out
 
         monkeypatch.setattr(estimators, name, fake)
 
-    wrap("_mle", lambda r1: "r1")
-    wrap("_umvue", lambda r1: "r2")
-    wrap("_posterior_means", lambda a1: "r4" if float(a1).is_integer() else "r3")
+    wrap("_mle", "r1")
+    wrap("_umvue", "r2")
+    real_means = estimators._posterior_means
+
+    def fake_means(problems, *rest):
+        out = real_means(problems, *rest)
+        for (a1, zeta, _, _), means in zip(problems, out):
+            overwrite("r4" if float(a1).is_integer() else "r3", zeta, means)
+        return out
+
+    monkeypatch.setattr(estimators, "_posterior_means", fake_means)
 
 
 def assert_rejected(message):
@@ -430,6 +447,8 @@ class TestUmvueKernel:
                             lambda k, x: polished.append((k, x.size)) or real(k, x))
         monkeypatch.setattr(estimators, "_unit_rule",
                             functools.lru_cache(maxsize=None)(_unit_rule.__wrapped__))
+        monkeypatch.setattr(estimators, "_umvue_rule",
+                            functools.lru_cache(maxsize=128)(estimators._umvue_rule.__wrapped__))
         value = r2_umvue(10**4, 1.0, 10**4, 1.01)
         assert {k for k, _ in polished} == {16384} and max(size for _, size in polished) == 1024
         assert abs(value - umvue_mp_oracle(10**4, 10**4, 1.0, 1.01)) <= 1e-12
@@ -494,7 +513,7 @@ class TestPosteriorMeanKernel:
     ])
     def test_matches_high_precision_oracle_at_the_rule_edges(self, a1, a2):
         ratios = np.logspace(-12.0, 12.0, 9)
-        values = _posterior_means(a1, np.ones(ratios.size), a2, ratios)
+        values = posterior_means(a1, np.ones(ratios.size), a2, ratios)
         for value, ratio in zip(values, ratios):
             assert abs(value - posterior_mean_mp_oracle(a1, 1.0, a2, ratio)) <= 1e-12
 
@@ -502,18 +521,22 @@ class TestPosteriorMeanKernel:
         # At shapes (1, 60) rule 1 has 301 nodes.  Its comparison with the
         # even nodes fails for tau = 3 and 10 but not for 1e-6 and 1e6, so
         # under a budget of 301 only the first two need the halved rule, and
-        # with its 601 nodes allowed every value is accurate.
+        # with its 601 nodes allowed every value is accurate.  Each value is
+        # also taken alone, on the one-value path.
         ones = np.ones(3)
         monkeypatch.setattr(estimators, "_BAYES_NODE_BUDGET", 301)
-        _posterior_means(1.0, ones[:2], 60.0, np.array([1e-6, 1e6]))
+        posterior_means(1.0, ones[:2], 60.0, np.array([1e-6, 1e6]))
+        posterior_means(1.0, ones[:1], 60.0, np.array([1e6]))
         for tau in (3.0, 10.0):
-            with pytest.raises(NonConvergenceError, match="needs 601 nodes"):
-                _posterior_means(1.0, ones, 60.0, np.array([1e-6, tau, 1e6]))
+            for taus in ([1e-6, tau, 1e6], [tau]):
+                with pytest.raises(NonConvergenceError, match="needs 601 nodes"):
+                    posterior_means(1.0, ones[:len(taus)], 60.0, np.array(taus))
         monkeypatch.setattr(estimators, "_BAYES_NODE_BUDGET", 601)
         taus = np.array([1e-6, 3.0, 10.0, 1e6])
-        values = _posterior_means(1.0, np.ones(4), 60.0, taus)
+        values = posterior_means(1.0, np.ones(4), 60.0, taus)
         for got, tau in zip(values, taus):
             assert abs(got - posterior_mean_mp_oracle(1.0, 1.0, 60.0, tau)) <= 1e-12
+            assert posterior_mean(1.0, 1.0, 60.0, tau) == got
 
     def test_rules_that_never_agree_stop_at_the_budget(self, monkeypatch):
         # Shapes (10, 11) start from 141 nodes; the rule of 4481 would pass 4096.
@@ -524,6 +547,59 @@ class TestPosteriorMeanKernel:
     def test_shapes_too_small_for_the_largest_rule_raise(self):
         with pytest.raises(NonConvergenceError, match="more than the 4096 allowed"):
             posterior_mean(1e-4, 1.0, 2e-4, 3.0)
+
+
+class TestRuleMemos:
+    """The shape-only parts of the rules are kept in bounded memos."""
+
+    MEMOS = {"_bayes_span": 128, "_node_grid": 32, "_bayes_rule": 128, "_umvue_rule": 128}
+
+    def test_memos_are_bounded(self):
+        for name, size in self.MEMOS.items():
+            assert getattr(estimators, name).cache_info().maxsize == size
+        for a in range(3, 300):  # more shapes than any memo keeps
+            estimators._bayes_span(float(a), 4.0)
+            estimators._node_grid(2 * a, 2 * a)
+            estimators._bayes_rule(float(a), 4.0, 0)
+            estimators._umvue_rule(a, 4)
+        for name, size in self.MEMOS.items():
+            assert getattr(estimators, name).cache_info().currsize == size
+
+    def test_kept_arrays_are_read_only(self):
+        rule, _ = estimators._bayes_rule(6.0, 7.0, 1)
+        neg_s, factor = estimators._umvue_rule(6, 7)
+        for array in (rule[0, 0], rule[0, 1], estimators._node_grid(70, 70), neg_s, factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.5
+
+    @pytest.mark.parametrize("a1, a2, halvings", [
+        (1.0, 60.0, 1), (2.0, 3.0, 0), (4.5, 5.25, 0), (200.0, 1000.0, 2), (3000.0, 1.0, 0),
+    ])
+    def test_kept_posterior_rule_equals_a_fresh_build(self, a1, a2, halvings):
+        estimators._bayes_rule(a1, a2, halvings)
+        kept = estimators._bayes_rule(a1, a2, halvings)
+        fresh = estimators._bayes_rule.__wrapped__(a1, a2, halvings)
+        assert estimators._bayes_rule.cache_info().hits > 0
+        for got, built in zip(kept, fresh):
+            assert np.array_equal(got, built) and np.asarray(got).dtype == np.asarray(built).dtype
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (3, 7), (24, 24), (1000, 3), (3, 1000)])
+    def test_kept_umvue_rule_equals_a_fresh_build(self, a, b):
+        estimators._umvue_rule(a, b)
+        kept = estimators._umvue_rule(a, b)
+        fresh = estimators._umvue_rule.__wrapped__(a, b)
+        for got, built in zip(kept, fresh):
+            assert np.array_equal(got, built)
+
+    def test_estimates_do_not_depend_on_what_the_memos_hold(self, monkeypatch):
+        z, v = np.random.default_rng(5).exponential(1.0, size=(2, 30))
+        prior = GammaPrior(2.0, 4.0), GammaPrior(2.0, 5.0)
+        warm = [estimate_kernel(r1, z, r2, v, *prior) for r1, r2 in ((1, 60), (3, 7), (8, 8))]
+        for name, size in self.MEMOS.items():
+            memo = getattr(estimators, name)
+            monkeypatch.setattr(estimators, name, functools.lru_cache(maxsize=size)(memo.__wrapped__))
+        cold = [estimate_kernel(r1, z, r2, v, *prior) for r1, r2 in ((1, 60), (3, 7), (8, 8))]
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
 
 class TestEstimateKernel:
@@ -560,6 +636,10 @@ class TestEstimateKernel:
             batch = estimate_kernel(7, z, 5, v, *priors)
             for row, data in zip(batch, datasets):
                 assert EstimateSet(*row.tolist()) == estimate_all(data, *priors)
+
+    def test_empty_totals_give_no_rows(self):
+        for priors in ((NONINFORMATIVE, NONINFORMATIVE), (GammaPrior(2.0, 4.0), HALF)):
+            assert estimate_kernel(3, [], 5, [], *priors).shape == (0, 4)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,21 @@ class TestAsymptoticCi:
         with pytest.raises(ValueError):
             asymptotic_ci(data, level=0.0)
 
+    @pytest.mark.parametrize("level", [1e-300, 0.5, 0.95, 1.0 - 2.0**-52])
+    @pytest.mark.parametrize("counts", [(1, 1), (3, 1000), (10**6, 10**6)])
+    def test_bounds_hold_at_the_edge_without_a_check(self, level, counts):
+        # The asymptotic bounds are not checked: 0 <= lower <= r_hat <= upper
+        # <= 1 holds by construction once r_hat lies inside (0, 1).  Odds from
+        # 2**-52, where r_hat is as close to 1 as it may be, to 1e305, where it
+        # is about 1e-305; levels whose normal factor is 0 and the largest.
+        r1, r2 = counts
+        odds = np.array([2.0**-52, 1e-10, 0.5, 1.0, 1e10, 1e300, 1e305])
+        v = odds * (r2 / r1)
+        r_hat = 1.0 / (1.0 + (r1 / r2) * (v / 1.0))
+        assert ((0.0 < r_hat) & (r_hat < 1.0)).all()
+        lower, upper = interval_kernel("asymptotic", r1, np.ones(odds.size), r2, v, level)
+        assert ((0.0 <= lower) & (lower <= r_hat) & (r_hat <= upper) & (upper <= 1.0)).all()
+
 
 class TestExactCi:
     def test_matches_f_distribution_oracle(self):

@@ -1,5 +1,6 @@
 """Study scripts: what they hand to the command line interface."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from helpers import fresh_draw_memo
 from stress_strength import GammaPrior
-from stress_strength.cli import parse_manifest
+from stress_strength.cli import main as cli_main, parse_manifest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,6 +21,12 @@ def load_script(name):
 
 
 class TestRunTableGrids:
+    # The SHA-256 of the seven tables' bytes, in STUDIES order, written with
+    # --full-precision at the default seed 42 and 20 replicates per cell.  A
+    # change that moves any seeded bit of the study must change this digest
+    # and say so.
+    FULL_PRECISION_DIGEST = "30a408b188dbcc87b750e0a31b3924bc45d7cb067256fcad44cd0f74eefb712c"
+
     def run(self, monkeypatch, tmp_path):
         script = load_script("run_table_grids")
         manifests = []
@@ -71,6 +78,16 @@ class TestRunTableGrids:
         layouts = [script.EQUAL_ROWS, script.UNEQUAL_ROWS]
         distinct = sum(len({row[i] for rows in layouts for row in rows}) for i in (2, 3))
         assert len(calls) == distinct == 38
+
+    def test_seeded_full_precision_tables_are_unchanged(self, monkeypatch, tmp_path):
+        script = load_script("run_table_grids")
+        monkeypatch.setattr(script, "cli_main", lambda argv: cli_main([*argv, "--full-precision"]))
+        assert script.main(["--outdir", str(tmp_path), "--replicates", "20"]) == 0
+        digest = hashlib.sha256()
+        for tag, _, scale_pairs in script.STUDIES:
+            for alpha, beta in scale_pairs:
+                digest.update((tmp_path / f"table_{tag}_alpha{alpha:g}_beta{beta:g}.csv").read_bytes())
+        assert digest.hexdigest() == self.FULL_PRECISION_DIGEST
 
 
 class TestRunCoverageStudy:

@@ -54,16 +54,16 @@ def replicate_rows(config):
 
 
 def poison_kernel(monkeypatch, z_values, fault):
-    """Make the cell kernel raise ``fault`` whenever its batch holds one of
-    the strength totals in ``z_values``."""
-    real = simulation.estimate_kernel
+    """Make the cells' kernel batch raise ``fault`` whenever one of its cells
+    holds one of the strength totals in ``z_values``."""
+    real = simulation._estimate_cells
 
-    def flaky(r1, z, r2, v, *priors):
-        if np.isin(z, z_values).any():
+    def flaky(cells):
+        if any(np.isin(z, z_values).any() for _, z, *_ in cells):
             raise fault
-        return real(r1, z, r2, v, *priors)
+        return real(cells)
 
-    monkeypatch.setattr(simulation, "estimate_kernel", flaky)
+    monkeypatch.setattr(simulation, "_estimate_cells", flaky)
 
 
 class TestSimCellConfig:
@@ -146,13 +146,13 @@ class TestRunCell:
         config = small_config(replicates=90, prior_strength=GammaPrior(2.0, 4.0),
                               prior_stress=GammaPrior(2.0, 5.0))
         batches = []
-        real = simulation.estimate_kernel
+        real = simulation._estimate_cells
 
-        def spy(*args):
-            batches.append(real(*args))
+        def spy(cells):
+            batches.append(real(cells))
             return batches[-1]
 
-        monkeypatch.setattr(simulation, "estimate_kernel", spy)
+        monkeypatch.setattr(simulation, "_estimate_cells", spy)
         run_cell(config)
         assert len(batches) == 1
         assert np.array_equal(batches[0], replicate_rows(config))
@@ -165,13 +165,14 @@ class TestRunCell:
 
     def test_totals_of_fewer_replicates_are_a_prefix(self, monkeypatch):
         seen = []
-        real = simulation.estimate_kernel
+        real = simulation._estimate_cells
 
-        def spy(r1, z, r2, v, *priors):
+        def spy(cells):
+            ((_, z, _, v, *_),) = cells
             seen.append((z, v))
-            return real(r1, z, r2, v, *priors)
+            return real(cells)
 
-        monkeypatch.setattr(simulation, "estimate_kernel", spy)
+        monkeypatch.setattr(simulation, "_estimate_cells", spy)
         run_cell(small_config(r1=1, replicates=100))
         run_cell(small_config(r1=1, replicates=200))
         (z_short, v_short), (z_long, v_long) = seen
@@ -192,10 +193,11 @@ class TestRunCell:
         poisoned = cell_totals(config)[0][[4, 7]]
         real = estimators._posterior_means
 
-        def out_of_range(a1, zeta, a2, tau, *rest):
-            means = real(a1, zeta, a2, tau, *rest)
-            means[np.isin(zeta, poisoned)] = 1.0
-            return means
+        def out_of_range(problems, *rest):
+            out = real(problems, *rest)
+            for (_, zeta, _, _), means in zip(problems, out):
+                means[np.isin(zeta, poisoned)] = 1.0
+            return out
 
         monkeypatch.setattr(estimators, "_posterior_means", out_of_range)
         with pytest.raises(
@@ -297,6 +299,107 @@ class TestDrawMemo:
             assert [results(config) for config in configs] == cold
 
 
+class TestCellBatch:
+    """run_grid evaluates its distinct cells as one kernel batch; run_cell is
+    the one-cell case.  Each cell's result must not depend on its company."""
+
+    @staticmethod
+    def mixed_cells():
+        prior = dict(prior_strength=GammaPrior(2.0, 4.0), prior_stress=GammaPrior(2.0, 5.0))
+        return [
+            small_config(replicates=50, **prior),                      # rules of 141 nodes
+            small_config(replicates=50, r1=1, r2=2, n=1, m=2),         # 319
+            small_config(replicates=50, r1=2, r2=3, n=2, m=3, **prior),  # 179 and 141
+            # Shapes (1, 60): most values need the rule of half the step.
+            small_config(params=ExponentialScales(1.0, 0.03), replicates=40,
+                         r1=1, r2=60, n=1, m=60),
+            small_config(replicates=1, seed=9),
+            small_config(replicates=3000, r1=4, r2=5, **prior),        # chunks inside a cell
+            small_config(replicates=50, r1=3, r2=3, n=5, m=5, seed=8),  # 145
+            small_config(replicates=1, r1=1, r2=1, n=1, m=1),
+        ]
+
+    def test_batch_equals_each_cell_alone(self, monkeypatch):
+        configs = self.mixed_cells()
+        alone = [run_cell(config) for config in configs]
+        halved = []
+        real = estimators._posterior_means
+
+        def spy(problems, halvings=0):
+            halved.extend(problem[1].size for problem in problems if halvings)
+            return real(problems, halvings)
+
+        batches = []
+        real_cells = simulation._estimate_cells
+
+        def spy_cells(cells):
+            batches.append(len(cells))
+            return real_cells(cells)
+
+        monkeypatch.setattr(estimators, "_posterior_means", spy)
+        monkeypatch.setattr(simulation, "_estimate_cells", spy_cells)
+        assert run_grid(configs) == alone
+        assert batches == [len(configs)]
+        assert sum(halved) > 0
+
+    def test_workers_do_not_change_the_batch(self):
+        configs = self.mixed_cells()
+        assert run_grid(configs, workers=1) == run_grid(configs, workers=3)
+
+    def test_batches_are_bounded(self, monkeypatch):
+        configs = [small_config(replicates=replicates, seed=seed)
+                   for seed, replicates in enumerate((10, 20, 30, 40, 5, 60))]
+        sizes = []
+        real = simulation._run_cells
+
+        def spy(batch):
+            sizes.append([config.replicates for config in batch])
+            return real(batch)
+
+        monkeypatch.setattr(simulation, "_run_cells", spy)
+        monkeypatch.setattr(simulation, "_BATCH_REPLICATES", 60)
+        assert run_grid(configs) == [run_cell(config) for config in configs]
+        assert sizes == [[10, 20, 30], [40, 5], [60]]
+
+    def test_temporaries_stay_within_the_chunk(self, monkeypatch):
+        # Every (value, node) product the kernels form, in the batch and in
+        # cells of 3000 replicates, holds at most _CHUNK_ELEMENTS pairs plus
+        # the padding node of each value (rules have 141 nodes or more).
+        sizes = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def multiply(*args, **kwargs):
+                out = np.multiply(*args, **kwargs)
+                sizes.append(out.size)
+                return out
+
+        monkeypatch.setattr(estimators, "np", Numpy())
+        run_grid(self.mixed_cells() + [small_config(replicates=3000, r1=200, r2=200, n=200,
+                                                    m=200)])
+        bound = estimators._CHUNK_ELEMENTS
+        assert max(sizes) > bound // 2
+        assert max(sizes) <= bound + bound // 141
+
+    @pytest.mark.parametrize("replicates", [2, 3, 7, 50, 299, 300])
+    def test_moments_equal_per_cell_numpy_moments(self, replicates):
+        rng = np.random.default_rng(replicates)
+        configs = [small_config(params=ExponentialScales(alpha, 3.0), replicates=replicates)
+                   for alpha in (1.0, 2.0, 7.0)]
+        estimates = rng.uniform(size=(len(configs), replicates, 4))
+        for config, rows, result in zip(configs, estimates,
+                                        simulation._summaries(configs, estimates)):
+            true_r = true_reliability(config.params)
+            squared_errors = (rows - true_r) ** 2
+            assert result.mean_estimates == EstimateSet(*rows.mean(axis=0).tolist())
+            assert result.mse == tuple(squared_errors.mean(axis=0).tolist())
+            assert result.mc_stderr == tuple(
+                np.sqrt(squared_errors.var(axis=0, ddof=1) / replicates).tolist())
+
+
 class TestRunGrid:
     def test_singleton_grid_equals_run_cell(self):
         config = small_config(replicates=25)
@@ -365,13 +468,13 @@ class TestRunGrid:
     def test_runs_each_distinct_cell_once(self, monkeypatch):
         cells, grid = self.grid_with_copies()
         calls = []
-        real = simulation.run_cell
+        real = simulation._run_cells
 
-        def spy(config):
-            calls.append(config)
-            return real(config)
+        def spy(configs):
+            calls.extend(configs)
+            return real(configs)
 
-        monkeypatch.setattr(simulation, "run_cell", spy)
+        monkeypatch.setattr(simulation, "_run_cells", spy)
         entries = run_grid(grid)
         # The first row of each cell runs, and no near-copy is merged.
         assert calls == cells
